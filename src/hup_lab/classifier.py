@@ -14,8 +14,14 @@ by how much of the power system its phases can pin down:
 
 A fiber with at least ``p + 1`` distinct phases is class ``n + 2`` outright:
 each value of ``a^p`` is shared by at most ``p - n`` suitable nodes, so a
-discriminating choice always exists.  The subset search honours an
-evaluation cap and refuses loudly beyond it.
+discriminating choice always exists.
+
+For an ``(n + 2)``-subset ``S = P + {x, y}`` the difference identity
+``h_k(P, x) - h_k(P, y) = (x - y) * h_{k-1}(S)`` shows that which pair is
+set apart only scales the h-difference by ``|x - y|``.  The search
+therefore costs one ``h_{p-n-1}(S)`` per subset, weighed by the subset's
+largest pairwise gap.  It honours a cap on the number of subsets
+evaluated and refuses loudly beyond it.
 """
 
 from __future__ import annotations
@@ -107,14 +113,6 @@ def fiber(lam: LambdaSet, xi: float, *, merge_tol: float = TOL.merge) -> tuple[f
     return tuple(sorted(e for x, e in lam.points if abs(x - xi) <= merge_tol))
 
 
-def _discriminant_from_points(
-    prefix: tuple[complex, ...], a_last: complex, a_extra: complex, degree: int
-) -> float:
-    left = complete_homogeneous(degree, prefix + (a_last,))
-    right = complete_homogeneous(degree, prefix + (a_extra,))
-    return abs(left - right)
-
-
 def classify_fiber(
     etas: Sequence[float],
     n: int,
@@ -126,10 +124,11 @@ def classify_fiber(
     """Class index in ``1..n+2`` of one fiber's phase set.
 
     ``etas`` are assumed distinct (use :func:`fold_periodic` first).  The
-    top class is decided existentially: any arrangement of ``n + 2`` of
-    the phases whose h-difference modulus exceeds ``discriminant_tol``
-    settles it.  Raises ``SubsetCapError`` if that search would evaluate
-    more than ``cap`` arrangements.
+    top class is decided existentially: any ``(n + 2)``-subset ``S`` with
+    ``max |a - b| * |h_{p-n-1}(S)|`` above ``discriminant_tol`` settles
+    it, that product being the largest h-difference over the ways of
+    setting one pair of ``S`` apart.  Raises ``SubsetCapError`` if that
+    search would evaluate more than ``cap`` subsets.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -144,22 +143,15 @@ def classify_fiber(
     if m >= p + 1:
         return n + 2
     points = tuple(cmath.exp(1j * math.pi * e) for e in etas)
-    degree = p - n
-    evaluated = 0
-    for subset in combinations(range(m), n + 2):
-        for prefix_ids in combinations(subset, n):
-            rest = [i for i in subset if i not in prefix_ids]
-            evaluated += 1
-            if evaluated > cap:
-                raise SubsetCapError(
-                    f"classification needs more than {cap} arrangement evaluations"
-                )
-            prefix = tuple(points[i] for i in prefix_ids)
-            d = _discriminant_from_points(
-                prefix, points[rest[0]], points[rest[1]], degree
+    degree = p - n - 1
+    for evaluated, subset in enumerate(combinations(points, n + 2), start=1):
+        if evaluated > cap:
+            raise SubsetCapError(
+                f"classification needs more than {cap} (n+2)-subset evaluations"
             )
-            if d > discriminant_tol:
-                return n + 2
+        gap = max(abs(a - b) for a, b in combinations(subset, 2))
+        if gap * abs(complete_homogeneous(degree, subset)) > discriminant_tol:
+            return n + 2
     return n + 1
 
 

@@ -221,7 +221,26 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario_text(fh.read())
 
 
-def _resolve(scenario: Scenario) -> dict:
+def _is_nonfinite(value) -> bool:
+    """True if ``value`` holds NaN or an infinity at any depth.
+
+    Bare strings count when ``float`` would read them as non-finite
+    (``nan``, ``inf``), since the runners convert them with ``float``.
+    """
+    if isinstance(value, dict):
+        return any(_is_nonfinite(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_is_nonfinite(v) for v in value)
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return False
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _resolve(scenario: Scenario, tolerance: float | None = None) -> dict:
+    """Scenario parameters over schema defaults, with the tolerance override."""
     schema = _SCHEMAS.get(scenario.kind)
     if schema is None:
         known = ", ".join(sorted(_SCHEMAS))
@@ -229,10 +248,18 @@ def _resolve(scenario: Scenario) -> dict:
     unknown = sorted(set(scenario.params) - set(schema))
     if unknown:
         raise ScenarioError(f"unknown keys for {scenario.kind}: {', '.join(unknown)}")
+    given = dict(scenario.params)
+    if tolerance is not None:
+        given["tolerance"] = float(tolerance)
+    nonfinite = sorted(k for k, v in given.items() if _is_nonfinite(v))
+    if nonfinite:
+        raise ScenarioError(
+            f"non-finite value (NaN or Infinity) in {', '.join(nonfinite)}"
+        )
     resolved = {}
     for key, default in schema.items():
-        if key in scenario.params:
-            resolved[key] = scenario.params[key]
+        if key in given:
+            resolved[key] = given[key]
         elif default is _REQUIRED:
             raise ScenarioError(f"{scenario.kind} requires the {key!r} key")
         else:
@@ -659,9 +686,7 @@ _RUNNERS = {
 
 def run_scenario(scenario: Scenario, *, tolerance: float | None = None) -> Report:
     """Evaluate a scenario and return its report (no printing)."""
-    params = _resolve(scenario)
-    if tolerance is not None:
-        params["tolerance"] = float(tolerance)
+    params = _resolve(scenario, tolerance)
     start = time.perf_counter()
     infos, checks = _RUNNERS[scenario.kind](params)
     elapsed = time.perf_counter() - start
@@ -678,9 +703,7 @@ def emit_grid(
     """
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
-    params = _resolve(scenario)
-    if tolerance is not None:
-        params["tolerance"] = float(tolerance)
+    params = _resolve(scenario, tolerance)
     transform, _ = _grid_measure(params)
     xi = _grid(params["xi_min"], params["xi_max"], params["xi_step"])
     eta = _grid(params["eta_min"], params["eta_max"], params["eta_step"])

@@ -49,5 +49,6 @@ SUPPORT_RADIUS = 2.5
 OSC_BUDGET = 20.0 * math.exp(SUPPORT_RADIUS**2)
 PHASE_PER_PANEL = math.pi / 4.0
 
-# Classification search is refused beyond this many discriminant evaluations.
+# Classification search is refused beyond this many (n+2)-subsets of a fiber,
+# each costing one h evaluation.
 SUBSET_CAP = 100_000

@@ -33,7 +33,7 @@ class OscillationBudgetError(HupLabError):
 
 
 class SubsetCapError(HupLabError):
-    """Classification would require more subset evaluations than the cap."""
+    """Classification would evaluate more (n+2)-subsets than the cap."""
 
 
 class WitnessConstructionError(HupLabError, ValueError):

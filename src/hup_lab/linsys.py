@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import IllConditionedError
-from .sympoly import UnimodularTuple, complete_homogeneous, elementary_symmetric
+from .sympoly import UnimodularTuple, _coerce, complete_homogeneous, elementary_symmetric
 
 __all__ = [
     "PowerSystem",
@@ -32,14 +32,8 @@ __all__ = [
 ]
 
 
-def _nodes(xs) -> tuple[complex, ...]:
-    if isinstance(xs, UnimodularTuple):
-        return xs.values
-    return tuple(complex(x) for x in xs)
-
-
 def min_node_gap(nodes) -> float:
-    vals = _nodes(nodes)
+    vals = _coerce(nodes)
     if len(vals) < 2:
         return float("inf")
     return min(
@@ -55,7 +49,7 @@ def vandermonde_det(nodes) -> complex:
     Computed as the closed-form product over index pairs
     ``prod_{i<j} (a_j - a_i)``; empty and single-node inputs give 1.
     """
-    vals = _nodes(nodes)
+    vals = _coerce(nodes)
     out = 1 + 0j
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
@@ -76,7 +70,7 @@ class PowerSystem:
     target_power: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _nodes(self.nodes))
+        object.__setattr__(self, "nodes", _coerce(self.nodes))
         powers = tuple(int(p) for p in self.column_powers)
         object.__setattr__(self, "column_powers", powers)
         object.__setattr__(self, "target_power", int(self.target_power))
@@ -90,7 +84,7 @@ class PowerSystem:
     @classmethod
     def canonical(cls, nodes) -> "PowerSystem":
         """Columns ``0..m-1`` with target ``m`` for ``m`` nodes."""
-        vals = _nodes(nodes)
+        vals = _coerce(nodes)
         m = len(vals)
         return cls(vals, tuple(range(m)), m)
 
@@ -143,7 +137,7 @@ def canonical_coefficients(nodes) -> tuple[complex, ...]:
     as roots has the unknowns as lower coefficients, so coefficient ``k``
     equals ``(-1)**(m-k) * e_{m-k}(nodes)``.
     """
-    vals = _nodes(nodes)
+    vals = _coerce(nodes)
     m = len(vals)
     return tuple(
         ((-1) ** (m - k)) * elementary_symmetric(m - k, vals) for k in range(m)
@@ -152,7 +146,7 @@ def canonical_coefficients(nodes) -> tuple[complex, ...]:
 
 def power_column_matrix(betas, n: int, p: int) -> np.ndarray:
     """The ``(n+2) x (n+2)`` matrix with power columns ``0..n`` and ``p``."""
-    vals = _nodes(betas)
+    vals = _coerce(betas)
     if len(vals) != n + 2:
         raise ValueError("need exactly n + 2 nodes")
     if p < n + 1:
@@ -187,7 +181,7 @@ def triangularize_power_system(
     original matrix, and pivot ``i`` is the ratio of consecutive leading
     principal minors (a Vandermonde ratio for ``i <= n``).
     """
-    vals = _nodes(betas)
+    vals = _coerce(betas)
     gap = min_node_gap(vals)
     if gap < gap_tol:
         raise IllConditionedError(
@@ -216,7 +210,7 @@ def final_pivot_formula(betas, n: int, p: int) -> complex:
     chain above (equivalently, ``det / vandermonde_det(b_0..b_n)``);
     only the orientation, never the magnitude, is convention-dependent.
     """
-    vals = _nodes(betas)
+    vals = _coerce(betas)
     if len(vals) != n + 2:
         raise ValueError("need exactly n + 2 nodes")
     if p < n + 1:

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from hup_lab import (
     LambdaSet,
     SubsetCapError,
     classify_fiber,
+    complete_homogeneous,
     construct_consecutive_witness,
     fiber,
     fold_periodic,
@@ -12,7 +16,22 @@ from hup_lab import (
     partition,
 )
 
-from conftest import reference_classify, reference_partition
+from conftest import (
+    h_brute,
+    random_unimodular_phases,
+    reference_classify,
+    reference_partition,
+)
+
+
+def roots_of_unity(p):
+    """Phases of the p-th roots of unity: every (n+2)-subset has a zero
+    h-difference, so the full set is a class-(n+1) fiber for p >= n + 2."""
+    return tuple(2.0 * j / p for j in range(p))
+
+
+# (n, p) pairs where the uncapped oracle stays well under a second per fiber
+ORACLE_SIZES = ((0, 8), (1, 8), (2, 8), (3, 8), (1, 10), (2, 9), (2, 10), (3, 9), (4, 9))
 
 
 def random_instance(rng):
@@ -98,6 +117,16 @@ def test_classify_cap_is_enforced():
         classify_fiber(etas, 2, 6, cap=0)
 
 
+def test_classify_cap_counts_subsets():
+    # a class-(n+1) fiber evaluates every (n+2)-subset exactly once
+    n, p = 2, 8
+    etas = roots_of_unity(p)
+    subsets = comb(len(etas), n + 2)
+    with pytest.raises(SubsetCapError):
+        classify_fiber(etas, n, p, cap=subsets - 1)
+    assert classify_fiber(etas, n, p, cap=subsets) == n + 1
+
+
 def test_classify_permutation_invariant():
     rng = np.random.default_rng(5)
     etas = [0.15, 0.6, 1.05, 1.5, 1.95]
@@ -163,3 +192,74 @@ def test_adding_a_point_never_lowers_the_class():
         if len(grown) == len(etas):
             continue
         assert classify_fiber(grown, n, p) >= before
+
+
+def test_classify_matches_oracle_on_roots_of_unity_subsets():
+    rng = np.random.default_rng(9)
+    for n, p in ORACLE_SIZES:
+        roots = roots_of_unity(p)
+        for m in range(n + 1, p + 1):
+            etas = tuple(sorted(rng.choice(roots, size=m, replace=False)))
+            assert classify_fiber(etas, n, p) == reference_classify(etas, n, p) == n + 1
+
+
+def test_classify_matches_oracle_with_one_root_perturbed():
+    # only subsets holding the moved phase discriminate; moving the last
+    # phase puts the first such subset as deep in the search as a single
+    # moved phase can
+    for n, p in ORACLE_SIZES:
+        roots = roots_of_unity(p)
+        for moved in (0, p // 2, p - 1):
+            for shift in (1e-4, 0.05):
+                etas = list(roots)
+                etas[moved] += shift
+                etas = tuple(etas)
+                assert classify_fiber(etas, n, p) == reference_classify(etas, n, p) == n + 2
+
+
+def test_classify_matches_oracle_on_random_phases():
+    rng = np.random.default_rng(10)
+    for n, p in ORACLE_SIZES:
+        for m in (n + 2, p):
+            etas = tuple(random_unimodular_phases(rng, m))
+            assert classify_fiber(etas, n, p) == reference_classify(etas, n, p)
+
+
+def test_classify_threshold_is_set_by_the_widest_arrangement():
+    # one (n+2)-subset whose arrangements straddle the tolerance: the top
+    # class needs only the largest h-difference to clear it, as in the oracle
+    rng = np.random.default_rng(13)
+    for n, p in ORACLE_SIZES:
+        if n == 0:
+            continue  # a lone pair has a single arrangement
+        etas = tuple(random_unimodular_phases(rng, n + 2))
+        pts = [complex(np.exp(1j * np.pi * e)) for e in etas]
+        h = abs(complete_homogeneous(p - n - 1, pts))
+        gaps = [abs(a - b) for a, b in combinations(pts, 2)]
+        assert max(gaps) > 1.1 * min(gaps)
+        straddle = h * (min(gaps) + max(gaps)) / 2.0
+        for tol, want in ((straddle, n + 2), (max(gaps) * h * 1.01, n + 1)):
+            got = classify_fiber(etas, n, p, discriminant_tol=tol)
+            assert got == reference_classify(etas, n, p, tol=tol) == want
+
+
+def test_classify_full_roots_fiber_at_largest_benchmark_size():
+    assert classify_fiber(roots_of_unity(14), 5, 14) == 6
+
+
+def test_max_gap_times_h_is_largest_arrangement_difference():
+    # h_k(P, x) - h_k(P, y) = (x - y) h_{k-1}(S): the pair set apart in an
+    # (n+2)-subset S only scales the h-difference by |x - y|
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(0, 5))
+        k = int(rng.integers(1, 9))
+        pts = [complex(np.exp(1j * np.pi * e)) for e in random_unimodular_phases(rng, n + 2)]
+        gap = max(abs(a - b) for a, b in combinations(pts, 2))
+        product = gap * abs(complete_homogeneous(k - 1, pts))
+        widest = 0.0
+        for i, j in combinations(range(n + 2), 2):
+            rest = [pts[t] for t in range(n + 2) if t not in (i, j)]
+            diff = abs(h_brute(k, rest + [pts[i]]) - h_brute(k, rest + [pts[j]]))
+            widest = max(widest, diff)
+        assert product == pytest.approx(widest, rel=1e-12, abs=0.0)

@@ -156,6 +156,57 @@ def test_precondition_errors_exit_two(tmp_path):
     assert main(["run", zero_alpha]) == 2
 
 
+NONFINITE_POINTS = """
+kind = classify
+points = [[0, NaN], [0, 0.5], [0, 1.0], [NaN, 0.2]]
+n = 1
+p = 3
+"""
+
+
+def test_nonfinite_classify_points_are_refused(tmp_path, capsys):
+    path = write(tmp_path, "nan_points.scenario", NONFINITE_POINTS)
+    with pytest.raises(ScenarioError, match="non-finite"):
+        run_scenario(load_scenario(path))
+    assert main(["run", path]) == 2
+    assert "overall" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "inf", "nan"])
+def test_nonfinite_scalar_is_refused(tmp_path, value):
+    path = write(tmp_path, "inf_c.scenario", f"kind = exp_curve_witness\nc = {value}\n")
+    with pytest.raises(ScenarioError, match="non-finite"):
+        run_scenario(load_scenario(path))
+    assert main(["run", path]) == 2
+
+
+def test_nonfinite_tolerance_override_is_refused(tmp_path):
+    # a NaN tolerance would make every "> tolerance" test false and class
+    # every searched fiber n+1 without a word
+    path = write(
+        tmp_path,
+        "classify.scenario",
+        "kind = classify\npoints = [[0, 0.0], [0, 0.5], [0, 1.5]]\nn = 1\np = 3\n",
+    )
+    with pytest.raises(ScenarioError, match="non-finite"):
+        run_scenario(load_scenario(path), tolerance=float("nan"))
+    assert main(["run", path, "--tolerance", "nan"]) == 2
+    grid = write(tmp_path, "grid.scenario", FAST_GRID)
+    assert main(["grid", grid, "--out", str(tmp_path / "g.csv"), "--tolerance", "inf"]) == 2
+    assert main(["run", path, "--tolerance", "1e-9"]) == 0
+
+
+def test_nonfinite_values_nested_in_objects_are_refused():
+    density = [{"kind": "gaussian", "center": 0.0, "width": float("inf")}]
+    with pytest.raises(ScenarioError, match="non-finite"):
+        run_scenario(Scenario("kronecker_check", {"alpha": 0.5, "density": density}))
+    amplitude = [
+        {"kind": "box", "center": 0.0, "width": 1.0, "amplitude": [1.0, float("nan")]}
+    ]
+    with pytest.raises(ScenarioError, match="non-finite"):
+        run_scenario(Scenario("kronecker_check", {"alpha": 0.5, "density": amplitude}))
+
+
 def test_grid_writes_expected_csv(tmp_path):
     scenario = load_scenario(write(tmp_path, "grid.scenario", FAST_GRID))
     out = tmp_path / "grid.csv"
