@@ -51,7 +51,6 @@ from .linsys import (
     canonical_coefficients,
     final_pivot_formula,
     hup_discriminant,
-    min_node_gap,
     power_column_matrix,
     solve_power_system,
     triangularize_power_system,
@@ -66,7 +65,6 @@ from .measures import (
     construct_consecutive_witness,
     construct_cross_diagonal_witness,
     cross_ft,
-    density_ft,
     gaussian,
     line_system_ft,
     odd_bump,
@@ -76,10 +74,10 @@ from .measures import (
     zero_density,
 )
 from .sympoly import (
-    PolyValue,
     UnimodularTuple,
     complete_homogeneous,
     elementary_symmetric,
+    h_difference,
     h_difference_residual,
 )
 
@@ -100,7 +98,6 @@ __all__ = [
     "LinePhase",
     "NonpositiveMinimumError",
     "OscillationBudgetError",
-    "PolyValue",
     "PowerSolution",
     "PowerSystem",
     "QuadResult",
@@ -119,18 +116,17 @@ __all__ = [
     "construct_cross_diagonal_witness",
     "construct_single_line_witness",
     "cross_ft",
-    "density_ft",
     "elementary_symmetric",
     "exp_curve_ft",
     "fiber",
     "final_pivot_formula",
     "fold_periodic",
     "gaussian",
+    "h_difference",
     "h_difference_residual",
     "hup_discriminant",
     "line_phase",
     "line_system_ft",
-    "min_node_gap",
     "odd_bump",
     "odd_pair",
     "odd_profile",

@@ -43,7 +43,7 @@ from .curves import (
     standard_witness_profile,
     surface_ft,
 )
-from .errors import HupLabError
+from .errors import DegenerateWitnessError, HupLabError
 from .linsys import (
     UnimodularTuple,
     final_pivot_formula,
@@ -54,6 +54,7 @@ from .linsys import (
 from .measures import (
     Density,
     DensityAtom,
+    LineMeasure,
     construct_consecutive_witness,
     construct_cross_diagonal_witness,
     cross_ft,
@@ -152,7 +153,6 @@ _SCHEMAS: dict[str, dict] = {
         "n": _REQUIRED,
         "p": _REQUIRED,
         "expect": None,
-        "expect_tol": 1e-9,
         "min_value": None,
         "tolerance": TOL.discriminant,
         "seed": 0,
@@ -184,7 +184,6 @@ _SCHEMAS: dict[str, dict] = {
         "density": None,
         "alpha": _REQUIRED,
         "sample_count": 401,
-        "min_residual": 1e-6,
         "tolerance": 1e-6,
         "seed": 0,
     },
@@ -299,6 +298,15 @@ def _density_from_json(value) -> Density:
     return Density(tuple(atoms))
 
 
+def _density_or(p: dict, key: str, default) -> Density:
+    """The density under ``key``, or ``default()`` when the key is null.
+
+    Only null selects the default: an empty list is the zero density.
+    """
+    value = p[key]
+    return default() if value is None else _density_from_json(value)
+
+
 def _densities_from_json(value) -> list[Density]:
     if not isinstance(value, list):
         raise ScenarioError("densities must be a JSON list of density lists")
@@ -389,10 +397,9 @@ def _random_densities(n: int, rng: np.random.Generator) -> list[Density]:
 
 def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
     n = int(p["n"])
-    seed_density = (
-        _density_from_json(p["seed_density"]) if p["seed_density"] else gaussian()
+    measure, lam = construct_consecutive_witness(
+        n, _density_or(p, "seed_density", gaussian)
     )
-    measure, lam = construct_consecutive_witness(n, seed_density)
     xi = _grid(p["xi_min"], p["xi_max"], p["xi_step"])
     on_max = max(
         float(np.max(np.abs(line_system_ft(measure, xi, eta)))) for eta in lam
@@ -409,25 +416,16 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
     variant = str(p["variant"])
-    rng = np.random.default_rng(int(p["seed"]))
+    t = np.linspace(float(p["grid_min"]), float(p["grid_max"]), int(p["grid_points"]))
     if variant == "diagonal":
         n = int(p["n"])
         if p["densities"] is not None:
             densities = _densities_from_json(p["densities"])
         else:
-            densities = _random_densities(n, rng)
+            densities = _random_densities(n, np.random.default_rng(int(p["seed"])))
         measure = construct_cross_diagonal_witness(n, densities)
-        t = np.linspace(
-            float(p["grid_min"]), float(p["grid_max"]), int(p["grid_points"])
-        )
-        vanish = float(np.max(np.abs(cross_ft(measure, t, t))))
-        off = float(np.max(np.abs(cross_ft(measure, t, t + 1.0))))
-        checks = [
-            _check("diagonal_max", vanish, "<=", p["tolerance"]),
-            _check("off_diagonal_max", off, ">=", p["off_min"]),
-        ]
-        return [], checks
-    if variant == "xi_axis":
+        names, on_eta, off_eta = ("diagonal_max", "off_diagonal_max"), t, t + 1.0
+    elif variant == "xi_axis":
         if p["densities"] is not None:
             f0 = _densities_from_json(p["densities"])[0]
         else:
@@ -435,27 +433,24 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
         if abs(complex(f0.ft(0.0))) > TOL.grid_vanish:
             raise ScenarioError("xi_axis variant needs a zero-mean base density")
         measure = construct_cross_diagonal_witness(1, [f0, -f0])
-        t = np.linspace(
-            float(p["grid_min"]), float(p["grid_max"]), int(p["grid_points"])
-        )
-        vanish = float(np.max(np.abs(cross_ft(measure, t, 0.0))))
-        off = float(np.max(np.abs(cross_ft(measure, t, 0.5))))
-        checks = [
-            _check("axis_max", vanish, "<=", p["tolerance"]),
-            _check("off_axis_max", off, ">=", p["off_min"]),
-        ]
-        return [], checks
-    raise ScenarioError(f"unknown cross_witness variant {variant!r}")
+        names, on_eta, off_eta = ("axis_max", "off_axis_max"), 0.0, 0.5
+    else:
+        raise ScenarioError(f"unknown cross_witness variant {variant!r}")
+    vanish = float(np.max(np.abs(cross_ft(measure, t, on_eta))))
+    off = float(np.max(np.abs(cross_ft(measure, t, off_eta))))
+    checks = [
+        _check(names[0], vanish, "<=", p["tolerance"]),
+        _check(names[1], off, ">=", p["off_min"]),
+    ]
+    return [], checks
 
 
 def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     c = float(p["c"])
-    if p["profile"] is not None:
-        profile = _density_from_json(p["profile"])
-    else:
-        profile = standard_witness_profile(
-            c, gap=float(p["gap"]), width=float(p["lobe_width"])
-        )
+    gap, width = float(p["gap"]), float(p["lobe_width"])
+    profile = _density_or(
+        p, "profile", lambda: standard_witness_profile(c, gap=gap, width=width)
+    )
     witness = construct_single_line_witness(c, profile)
     quad_tol = float(p["quad_tol"])
     xs = _grid(p["x_min"], p["x_max"], p["x_step"])
@@ -493,39 +488,29 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
     points = int(p["points"])
     if points < 2:
         raise ScenarioError("surface grid needs at least 2 points per side")
-    h_density = (
-        _density_from_json(p["h_density"])
-        if p["h_density"]
-        else triangle(center=0.0, width=1.0)
-    )
+    h_density = _density_or(p, "h_density", triangle)
+    if h_density.is_zero():
+        raise DegenerateWitnessError("surface factor h_density is zero")
+    second = CurveDensity.from_density(h_density)
     axis_vals = np.linspace(-extent, extent, points)
-    worst = 0.0
     if case == "axis":
-        psi = (
-            _density_from_json(p["psi_density"])
-            if p["psi_density"]
-            else odd_pair(triangle(center=1.0, width=0.8))
+        psi = _density_or(
+            p, "psi_density", lambda: odd_pair(triangle(center=1.0, width=0.8))
         )
+        if psi.is_zero():
+            raise DegenerateWitnessError("surface factor psi_density is zero")
         first = CurveDensity.from_density(psi)
-        second = CurveDensity.from_density(h_density)
-        for x2 in axis_vals:
-            for x3 in axis_vals:
-                res = surface_ft(first, second, (0.0, x2, x3), abs_tol=quad_tol)
-                worst = max(worst, abs(res.value))
+        freqs = [(0.0, u, v) for u in axis_vals for v in axis_vals]
     elif case == "slant":
         c = float(p["c"])
-        if p["profile"] is not None:
-            profile = _density_from_json(p["profile"])
-        else:
-            profile = standard_witness_profile(c)
-        tau = construct_single_line_witness(c, profile)
-        second = CurveDensity.from_density(h_density)
-        for x1 in axis_vals:
-            for x2 in axis_vals:
-                res = surface_ft(tau, second, (x1, x2, c * x1), abs_tol=quad_tol)
-                worst = max(worst, abs(res.value))
+        profile = _density_or(p, "profile", lambda: standard_witness_profile(c))
+        first = construct_single_line_witness(c, profile)
+        freqs = [(u, v, c * u) for u in axis_vals for v in axis_vals]
     else:
         raise ScenarioError(f"unknown surface case {case!r}")
+    worst = 0.0
+    for freq in freqs:
+        worst = max(worst, abs(surface_ft(first, second, freq, abs_tol=quad_tol).value))
     checks = [_check("hyperplane_max", worst, "<=", p["tolerance"])]
     return [], checks
 
@@ -568,11 +553,15 @@ def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
     return infos, checks
 
 
-def _run_discriminant(p: dict) -> tuple[list[str], list[Check]]:
+def _etas(p: dict) -> list[float]:
     etas = p["etas"]
     if not isinstance(etas, list):
         raise ScenarioError("etas must be a JSON list")
-    value = hup_discriminant([float(e) for e in etas], int(p["n"]), int(p["p"]))
+    return [float(e) for e in etas]
+
+
+def _run_discriminant(p: dict) -> tuple[list[str], list[Check]]:
+    value = hup_discriminant(_etas(p), int(p["n"]), int(p["p"]))
     checks = [_check("discriminant", value, ">=", 0.0)]
     if p["min_value"] is not None:
         checks.append(_check("discriminant_min", value, ">=", float(p["min_value"])))
@@ -582,19 +571,16 @@ def _run_discriminant(p: dict) -> tuple[list[str], list[Check]]:
                 "matches_expected",
                 abs(value - float(p["expect"])),
                 "<=",
-                float(p["expect_tol"]),
+                float(p["tolerance"]),
             )
         )
     return [], checks
 
 
 def _run_reduce(p: dict) -> tuple[list[str], list[Check]]:
-    etas = p["etas"]
-    if not isinstance(etas, list):
-        raise ScenarioError("etas must be a JSON list")
     n = int(p["n"])
     pp = int(p["p"])
-    betas = UnimodularTuple.from_phases([float(e) for e in etas])
+    betas = UnimodularTuple.from_phases(_etas(p))
     reduction = triangularize_power_system(betas, n, pp)
     det = complex(np.linalg.det(power_column_matrix(betas, n, pp)))
     pivot_product = reduction.pivot_product()
@@ -609,50 +595,62 @@ def _run_reduce(p: dict) -> tuple[list[str], list[Check]]:
     return infos, checks
 
 
-def _grid_measure(p: dict):
-    """Build (transform callable, lambda heights or None) for ft_grid."""
+def _grid_rows(p: dict):
+    """Axes, lambda heights and transform rows of an ft_grid scenario.
+
+    Returns ``(xi, eta, lambda_heights, rows)``; ``rows`` yields the
+    complex transform over ``eta`` at each ``xi`` in turn.  The lambda
+    heights are the scenario's, or the witness grid for consecutive
+    witnesses, and may be None.
+    """
     measure_kind = str(p["measure"])
+    heights = p["lambda_heights"]
     if measure_kind == "line":
         if p["heights"] is None or p["densities"] is None:
             raise ScenarioError("line grids need 'heights' and 'densities'")
-        heights = [float(h) for h in p["heights"]]
-        densities = _densities_from_json(p["densities"])
-        from .measures import LineMeasure
-
-        measure = LineMeasure(tuple(heights), tuple(densities))
-        return (lambda xi, eta: line_system_ft(measure, xi, eta)), p["lambda_heights"]
-    if measure_kind == "cross":
+        measure = LineMeasure(
+            tuple(float(h) for h in p["heights"]),
+            tuple(_densities_from_json(p["densities"])),
+        )
+        transform = line_system_ft
+    elif measure_kind == "cross":
         if p["densities"] is None:
             raise ScenarioError("cross grids need 'densities'")
         densities = _densities_from_json(p["densities"])
         measure = construct_cross_diagonal_witness(len(densities) - 1, densities)
-        return (lambda xi, eta: cross_ft(measure, xi, eta)), p["lambda_heights"]
-    if measure_kind == "consecutive_witness":
+        transform = cross_ft
+    elif measure_kind == "consecutive_witness":
         if p["n"] is None:
             raise ScenarioError("consecutive_witness grids need 'n'")
-        n = int(p["n"])
-        seed_density = (
-            _density_from_json(p["seed_density"]) if p["seed_density"] else gaussian()
+        measure, lam = construct_consecutive_witness(
+            int(p["n"]), _density_or(p, "seed_density", gaussian)
         )
-        measure, lam = construct_consecutive_witness(n, seed_density)
-        heights = p["lambda_heights"] if p["lambda_heights"] is not None else list(lam)
-        return (lambda xi, eta: line_system_ft(measure, xi, eta)), heights
-    raise ScenarioError(f"unknown grid measure {measure_kind!r}")
+        if heights is None:
+            heights = list(lam)
+        transform = line_system_ft
+    else:
+        raise ScenarioError(f"unknown grid measure {measure_kind!r}")
+    xi = _grid(p["xi_min"], p["xi_max"], p["xi_step"])
+    eta = _grid(p["eta_min"], p["eta_max"], p["eta_step"])
+    # one call per xi: a single 2-D call rounds some values differently
+    rows = (
+        np.asarray(transform(measure, float(x), eta), dtype=complex) for x in xi
+    )
+    return xi, eta, heights, rows
 
 
 def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
-    transform, lambda_heights = _grid_measure(p)
-    xi = _grid(p["xi_min"], p["xi_max"], p["xi_step"])
-    eta = _grid(p["eta_min"], p["eta_max"], p["eta_step"])
+    xi, eta, lambda_heights, rows = _grid_rows(p)
+    heights = [float(h) for h in lambda_heights] if lambda_heights else []
+    on_lambda = [
+        j for j, e in enumerate(eta) if any(abs(e - h) <= TOL.merge for h in heights)
+    ]
     total_max = 0.0
     lambda_max = 0.0
-    heights = [float(h) for h in lambda_heights] if lambda_heights else []
-    for x in xi:
-        row = np.abs(np.asarray(transform(float(x), eta), dtype=complex))
+    for row in rows:
+        row = np.abs(row)
         total_max = max(total_max, float(np.max(row)))
-        for j, e in enumerate(eta):
-            if any(abs(e - h) <= TOL.merge for h in heights):
-                lambda_max = max(lambda_max, float(row[j]))
+        lambda_max = max([lambda_max, *row[on_lambda].tolist()])
     infos = [f"grid_rows {len(xi) * len(eta)}", f"max_abs {total_max:.17g}"]
     checks = []
     if heights:
@@ -663,11 +661,10 @@ def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_kronecker_check(p: dict) -> tuple[list[str], list[Check]]:
-    f = _density_from_json(p["density"]) if p["density"] else gaussian()
     residual = translation_periodicity_residual(
-        f, float(p["alpha"]), int(p["sample_count"])
+        _density_or(p, "density", gaussian), float(p["alpha"]), int(p["sample_count"])
     )
-    checks = [_check("nonperiodicity_residual", residual, ">=", p["min_residual"])]
+    checks = [_check("nonperiodicity_residual", residual, ">=", p["tolerance"])]
     return [], checks
 
 
@@ -703,22 +700,16 @@ def emit_grid(
     """
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
-    params = _resolve(scenario, tolerance)
-    transform, _ = _grid_measure(params)
-    xi = _grid(params["xi_min"], params["xi_max"], params["xi_step"])
-    eta = _grid(params["eta_min"], params["eta_max"], params["eta_step"])
-    rows = 0
+    xi, eta, _, rows = _grid_rows(_resolve(scenario, tolerance))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("xi,eta,re,im,abs\n")
-        for x in xi:
-            vals = np.asarray(transform(float(x), eta), dtype=complex)
+        for x, vals in zip(xi, rows):
             for e, v in zip(eta, vals):
                 fh.write(
                     f"{float(x):.17g},{float(e):.17g},"
                     f"{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\n"
                 )
-                rows += 1
-    return rows
+    return len(xi) * len(eta)
 
 
 def main(argv: list[str] | None = None) -> int:

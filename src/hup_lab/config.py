@@ -1,4 +1,4 @@
-"""Central tolerance constants and grid policy.
+"""Central tolerance constants, quadrature policy and the subset cap.
 
 Every numeric threshold used by the library lives here so that tests,
 the CLI, and the acceptance suite all read the same numbers.
@@ -14,14 +14,11 @@ from dataclasses import dataclass
 class Tolerances:
     """Bundle of the numeric tolerances used across the package."""
 
-    # symmetric-polynomial identities
+    # unit-circle nodes
     unimodular_eps: float = 1e-12
-    identity: float = 1e-12
-    generating_function: float = 1e-10
 
     # linear systems
     node_gap: float = 1e-9          # below this pairwise gap a system is refused
-    canonical_tau: float = 1e-10    # solver output vs. closed-form coefficients
     pivot_rel: float = 1e-9         # pivot product vs. determinant, relative
     discriminant: float = 1e-9      # threshold separating "zero" discriminants
 
@@ -32,15 +29,9 @@ class Tolerances:
     quad_abs: float = 1e-9          # absolute target for oscillatory quadrature
     grid_vanish: float = 1e-12      # closed-form transforms vanishing on a grid
     curve_vanish: float = 1e-6      # quadrature-verified vanishing on a line
-    nonzero_floor: float = 1e-3     # witnesses must exceed this off the null set
 
 
 TOL = Tolerances()
-
-# Default verification grid for transform sweeps (scenarios may override).
-XI_MIN = -10.0
-XI_MAX = 10.0
-XI_STEP = 0.02
 
 # Oscillatory quadrature policy.  Densities on the exponential curve are
 # declared to vanish outside [-SUPPORT_RADIUS, SUPPORT_RADIUS]; the refusal

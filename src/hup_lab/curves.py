@@ -232,9 +232,6 @@ class CurveDensity:
     ) -> "CurveDensity":
         return cls(mixture=f, support_radius=support_radius)
 
-    def is_witness(self) -> bool:
-        return self.mixture is None
-
     def value_at(self, t):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0

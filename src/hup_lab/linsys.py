@@ -15,14 +15,13 @@ import numpy as np
 
 from .config import TOL
 from .errors import IllConditionedError
-from .sympoly import UnimodularTuple, _coerce, complete_homogeneous, elementary_symmetric
+from .sympoly import UnimodularTuple, _coerce, elementary_symmetric, h_difference
 
 __all__ = [
     "PowerSystem",
     "PowerSolution",
     "Reduction",
     "vandermonde_det",
-    "min_node_gap",
     "solve_power_system",
     "canonical_coefficients",
     "power_column_matrix",
@@ -32,15 +31,15 @@ __all__ = [
 ]
 
 
-def min_node_gap(nodes) -> float:
-    vals = _coerce(nodes)
-    if len(vals) < 2:
-        return float("inf")
-    return min(
-        abs(vals[i] - vals[j])
-        for i in range(len(vals))
-        for j in range(i + 1, len(vals))
-    )
+def _require_distinct(nodes, gap_tol: float) -> float:
+    """The smallest pairwise node gap; refuses gaps below ``gap_tol``."""
+    gap = UnimodularTuple(nodes).min_gap()
+    if gap < gap_tol:
+        raise IllConditionedError(
+            f"nodes are not reliably distinct (min gap {gap:.3e} < {gap_tol:.1e})",
+            min_gap=gap,
+        )
+    return gap
 
 
 def vandermonde_det(nodes) -> complex:
@@ -117,12 +116,7 @@ def solve_power_system(system: PowerSystem, *, gap_tol: float = TOL.node_gap) ->
         raise ValueError("system must be square: one column power per node")
     if m == 0:
         raise ValueError("system must have at least one node")
-    gap = min_node_gap(system.nodes)
-    if gap < gap_tol:
-        raise IllConditionedError(
-            f"nodes are not reliably distinct (min gap {gap:.3e} < {gap_tol:.1e})",
-            min_gap=gap,
-        )
+    _require_distinct(system.nodes, gap_tol)
     a = system.matrix()
     b = system.rhs()
     x = np.linalg.solve(a, b)
@@ -182,12 +176,7 @@ def triangularize_power_system(
     principal minors (a Vandermonde ratio for ``i <= n``).
     """
     vals = _coerce(betas)
-    gap = min_node_gap(vals)
-    if gap < gap_tol:
-        raise IllConditionedError(
-            f"nodes are not reliably distinct (min gap {gap:.3e} < {gap_tol:.1e})",
-            min_gap=gap,
-        )
+    gap = _require_distinct(vals, gap_tol)
     u = power_column_matrix(vals, n, p).copy()
     m = n + 2
     for s in range(m - 1):
@@ -215,14 +204,10 @@ def final_pivot_formula(betas, n: int, p: int) -> complex:
         raise ValueError("need exactly n + 2 nodes")
     if p < n + 1:
         raise ValueError("the trailing power must satisfy p >= n + 1")
-    prefix = vals[:n]
-    diff = complete_homogeneous(p - n, prefix + (vals[n + 1],)) - complete_homogeneous(
-        p - n, prefix + (vals[n],)
-    )
     prod = 1 + 0j
     for j in range(n):
         prod *= vals[n + 1] - vals[j]
-    return diff * prod
+    return h_difference(p - n, vals[:n], vals[n + 1], vals[n]) * prod
 
 
 def hup_discriminant(etas: Sequence[float], n: int, p: int) -> float:
@@ -240,6 +225,4 @@ def hup_discriminant(etas: Sequence[float], n: int, p: int) -> float:
     if len(etas) != n + 2:
         raise ValueError("need exactly n + 2 phases")
     a = UnimodularTuple.from_phases(etas).values
-    left = complete_homogeneous(p - n, a[: n + 1])
-    right = complete_homogeneous(p - n, a[:n] + (a[n + 1],))
-    return abs(left - right)
+    return abs(h_difference(p - n, a[:n], a[n], a[n + 1]))

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateWitnessError
-from .config import TOL
 
 __all__ = [
     "ATOM_KINDS",
@@ -42,7 +41,6 @@ __all__ = [
     "odd_bump",
     "zero_density",
     "odd_pair",
-    "density_ft",
     "line_system_ft",
     "cross_ft",
     "construct_consecutive_witness",
@@ -130,9 +128,6 @@ class DensityAtom:
             )
         return _maybe_item(np.asarray(val, dtype=complex), scalar)
 
-    def mass(self) -> complex:
-        return self.ft(0.0)
-
     def support(self) -> tuple[float, float] | None:
         """Exact support interval, or None for unbounded kinds."""
         if self.kind == "box":
@@ -186,14 +181,8 @@ class Density:
             total += atom.ft(arr)
         return _maybe_item(total, scalar)
 
-    def mass(self) -> complex:
-        return self.ft(0.0)
-
     def is_zero(self) -> bool:
         return all(atom.amplitude == 0 for atom in self.atoms)
-
-    def is_compact(self) -> bool:
-        return all(atom.support() is not None for atom in self.atoms)
 
     def support_intervals(self) -> tuple[tuple[float, float], ...] | None:
         """Merged union of atom supports; None if any atom is unbounded."""
@@ -264,11 +253,6 @@ def odd_pair(lobe: Density) -> Density:
     supported in ``u > 0`` the two halves do not overlap.
     """
     return lobe - lobe.reflected()
-
-
-def density_ft(f: Density, xi):
-    """Transform of a density (see module docstring for the convention)."""
-    return f.ft(xi)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ from .config import TOL
 
 __all__ = [
     "UnimodularTuple",
-    "PolyValue",
     "complete_homogeneous",
     "elementary_symmetric",
+    "h_difference",
     "h_difference_residual",
 ]
 
@@ -124,6 +124,24 @@ def elementary_symmetric(k: int, xs: Sequence[complex] | UnimodularTuple) -> com
     return table[k]
 
 
+def h_difference(
+    k: int,
+    xbar: Sequence[complex] | UnimodularTuple,
+    x: complex,
+    y: complex,
+) -> complex:
+    """The h-difference ``h_k(xbar, x) - h_k(xbar, y)`` of two phase tuples.
+
+    Evaluated as two plain ``h_k`` calls rather than through the identity
+    checked by `h_difference_residual`.  The last pivot of the reduction,
+    the discriminant and that residual all go through this one kernel.
+    """
+    base = _coerce(xbar)
+    return complete_homogeneous(k, base + (complex(x),)) - complete_homogeneous(
+        k, base + (complex(y),)
+    )
+
+
 def h_difference_residual(
     k: int,
     xbar: Sequence[complex] | UnimodularTuple,
@@ -140,25 +158,5 @@ def h_difference_residual(
     base = _coerce(xbar)
     x = complex(x)
     y = complex(y)
-    lhs = complete_homogeneous(k, base + (x,)) - complete_homogeneous(k, base + (y,))
     rhs = (x - y) * complete_homogeneous(k - 1, base + (x, y))
-    return lhs - rhs
-
-
-@dataclass(frozen=True)
-class PolyValue:
-    """A symmetric-polynomial evaluation together with its degree and arity."""
-
-    value: complex
-    degree: int
-    arity: int
-
-    @classmethod
-    def h(cls, k: int, xs) -> "PolyValue":
-        vals = _coerce(xs)
-        return cls(complete_homogeneous(k, vals), k, len(vals))
-
-    @classmethod
-    def e(cls, k: int, xs) -> "PolyValue":
-        vals = _coerce(xs)
-        return cls(elementary_symmetric(k, vals), k, len(vals))
+    return h_difference(k, base, x, y) - rhs

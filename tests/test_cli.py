@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hup_lab
 from hup_lab.cli import (
     Scenario,
     ScenarioError,
@@ -11,6 +16,9 @@ from hup_lab.cli import (
     parse_scenario_text,
     run_scenario,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write(tmp_path, name, text):
@@ -318,3 +326,127 @@ def test_classify_scenario_counts_mismatch_fails(tmp_path):
     )
     path = write(tmp_path, "c.scenario", text)
     assert main(["run", path, "--quiet"]) == 1
+
+
+def test_discriminant_expectation_reads_tolerance(capsys):
+    path = str(SCENARIOS / "discriminant.scenario")
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert "check matches_expected" in out and "threshold=1.0000000000000001e-09" in out
+    assert main(["run", path, "--tolerance", "1e-300"]) == 1
+    out = capsys.readouterr().out
+    assert "threshold=1e-300 op=le result=FAIL" in out
+    assert "check discriminant measured" in out and "overall FAIL" in out
+
+
+def test_kronecker_residual_floor_reads_tolerance(tmp_path, capsys):
+    path = str(SCENARIOS / "kronecker_check.scenario")
+    assert main(["run", path, "--quiet"]) == 0
+    assert main(["run", path, "--tolerance", "1e9"]) == 1
+    assert "threshold=1000000000 op=ge result=FAIL" in capsys.readouterr().out
+    text = "kind = kronecker_check\nalpha = 1.5\ntolerance = 1e9\n"
+    floor = write(tmp_path, "k.scenario", text)
+    assert main(["run", floor, "--quiet"]) == 1
+
+
+def test_empty_density_is_the_zero_density(tmp_path, capsys):
+    seed = write(
+        tmp_path, "c.scenario", "kind = consecutive_witness\nn = 1\nseed_density = []\n"
+    )
+    assert main(["run", seed]) == 2
+    assert "overall" not in capsys.readouterr().out
+    grid = write(tmp_path, "g.scenario", FAST_GRID + "seed_density = []\n")
+    assert main(["grid", grid, "--out", str(tmp_path / "g.csv")]) == 2
+    text = "kind = kronecker_check\nalpha = 1.5\ndensity = []\n"
+    kron = write(tmp_path, "k.scenario", text)
+    assert main(["run", kron]) == 1
+    assert "nonperiodicity_residual measured=0 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = surface_witness\npoints = 3\npsi_density = []\n",
+        "kind = surface_witness\npoints = 3\nh_density = []\n",
+        "kind = surface_witness\ncase = slant\npoints = 3\nh_density = []\n",
+        "kind = surface_witness\ncase = slant\npoints = 3\nprofile = []\n",
+    ],
+)
+def test_zero_surface_factor_is_refused(tmp_path, capsys, text):
+    # a zero factor makes the whole surface witness zero, which would pass
+    assert main(["run", write(tmp_path, "s.scenario", text)]) == 2
+    assert "overall" not in capsys.readouterr().out
+
+
+def test_null_density_selects_the_default():
+    base = {"n": 1, "xi_step": 0.5}
+    given = Scenario("consecutive_witness", dict(base, seed_density=None))
+    absent = Scenario("consecutive_witness", base)
+    assert run_scenario(given).render() == run_scenario(absent).render()
+    gauss = [{"kind": "gaussian"}]
+    explicit = Scenario("kronecker_check", {"alpha": 1.5, "density": gauss})
+    default = Scenario("kronecker_check", {"alpha": 1.5})
+    assert run_scenario(explicit).checks == run_scenario(default).checks
+
+
+AGREEMENT_GRIDS = {
+    "consecutive": FAST_GRID.replace("eta_step = 0.5", "eta_step = 0.25"),
+    "line": (
+        "kind = ft_grid\nmeasure = line\nheights = [0.0, 1.0, 2.5]\n"
+        'densities = [[{"kind": "gaussian"}], [], [{"kind": "box", "center": 0.5}]]\n'
+        "lambda_heights = [0.5, 1.0]\nxi_step = 0.5\neta_step = 0.25\n"
+    ),
+    "cross": (
+        "kind = ft_grid\nmeasure = cross\n"
+        'densities = [[{"kind": "gaussian"}], [{"kind": "triangle", "center": 0.5}]]\n'
+        "lambda_heights = [0.0, 1.5]\nxi_step = 0.5\neta_step = 0.25\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_GRIDS))
+def test_ft_grid_report_agrees_with_its_csv(tmp_path, name):
+    scenario = load_scenario(write(tmp_path, "g.scenario", AGREEMENT_GRIDS[name]))
+    out = tmp_path / "g.csv"
+    rows = emit_grid(scenario, str(out))
+    table = [
+        [float(v) for v in line.split(",")]
+        for line in out.read_text().splitlines()[1:]
+    ]
+    report = run_scenario(scenario)
+    infos = dict(info.split(" ", 1) for info in report.infos)
+    assert int(infos["grid_rows"]) == rows == len(table)
+    # the report takes |v| with numpy, the CSV with Python: they may differ
+    # in the last bit
+    ulp = 1e-15
+    assert float(infos["max_abs"]) == pytest.approx(max(r[4] for r in table), rel=ulp)
+    if name == "consecutive":
+        heights = [0.0, 1.0]  # the n = 1 witness grid
+    else:
+        heights = scenario.params["lambda_heights"]
+    on_lambda = [r[4] for r in table if any(abs(r[1] - h) <= 1e-9 for h in heights)]
+    assert len(on_lambda) == len(heights) * len({r[0] for r in table})
+    (check,) = report.checks
+    assert check.name == "lambda_rows_max"
+    assert check.measured == pytest.approx(max(on_lambda), rel=ulp)
+
+
+def test_cli_runs_without_scipy():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from hup_lab.cli import main\n"
+        "raise SystemExit(main(['run', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(hup_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIOS / "discriminant.scenario")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("overall PASS\n")

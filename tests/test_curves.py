@@ -14,7 +14,6 @@ from hup_lab import (
     absolute_mass,
     box,
     construct_single_line_witness,
-    density_ft,
     exp_curve_ft,
     gaussian,
     line_phase,
@@ -167,7 +166,7 @@ def test_exp_curve_ft_pure_x_frequency_matches_closed_form():
     f = gaussian()
     g = CurveDensity.from_density(f, support_radius=3.0)
     res = exp_curve_ft(g, 1.0, 0.0)
-    assert res.value == pytest.approx(density_ft(f, 1.0), abs=1e-9)
+    assert res.value == pytest.approx(f.ft(1.0), abs=1e-9)
     assert res.error <= 1e-9
 
 

@@ -7,8 +7,8 @@ from hup_lab import (
     UnimodularTuple,
     canonical_coefficients,
     final_pivot_formula,
+    h_difference,
     hup_discriminant,
-    min_node_gap,
     power_column_matrix,
     solve_power_system,
     triangularize_power_system,
@@ -93,15 +93,29 @@ def test_solver_rejects_near_coincident_nodes():
     assert info.value.min_gap < 1e-9
 
 
+def test_gap_refusals_report_the_unimodular_min_gap():
+    # the close pair (b1, b3) is not adjacent, so an adjacent-only scan misses it
+    nodes = UnimodularTuple.from_phases([0.0, 0.7, 1.3, 0.7 + 1e-12])
+    want = nodes.min_gap()
+    assert want < 1e-9
+    with pytest.raises(IllConditionedError) as solved:
+        solve_power_system(PowerSystem.canonical(nodes))
+    with pytest.raises(IllConditionedError) as reduced:
+        triangularize_power_system(nodes, 2, 5)
+    assert solved.value.min_gap == want
+    assert reduced.value.min_gap == want
+    assert f"{want:.3e}" in str(solved.value) and f"{want:.3e}" in str(reduced.value)
+
+
 def test_solver_rejects_non_square_systems():
     nodes = UnimodularTuple.from_phases([0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
         solve_power_system(PowerSystem(nodes, (0, 1), 3))
 
 
-def test_min_node_gap():
-    assert min_node_gap((1.0,)) == float("inf")
-    assert min_node_gap((0.0, 3.0, 4.0)) == pytest.approx(1.0)
+def test_min_gap_of_plain_nodes():
+    assert UnimodularTuple((1.0,)).min_gap() == float("inf")
+    assert UnimodularTuple((0.0, 3.0, 4.0)).min_gap() == pytest.approx(1.0)
 
 
 def test_power_column_matrix_layout():
@@ -155,6 +169,35 @@ def test_final_pivot_lowest_power_reduces_to_node_difference():
     b = nodes.values
     want = (b[3] - b[2]) * (b[3] - b[0]) * (b[3] - b[1])
     assert final_pivot_formula(nodes, n, n + 1) == pytest.approx(want, abs=1e-12)
+
+
+def test_final_pivot_is_the_oriented_h_difference():
+    # final pivot = (h_{p-n}(prefix, b_{n+1}) - h_{p-n}(prefix, b_n)) * prod
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 2, 4):
+        for p in (n + 1, n + 3, n + 6):
+            b = UnimodularTuple.from_phases(random_unimodular_phases(rng, n + 2)).values
+            prod = 1 + 0j
+            for j in range(n):
+                prod *= b[n + 1] - b[j]
+            diff = h_difference(p - n, b[:n], b[n + 1], b[n])
+            want = h_brute(p - n, b[:n] + (b[n + 1],)) - h_brute(p - n, b[:n + 1])
+            assert abs(diff) > 1e-6
+            assert diff == pytest.approx(want, rel=1e-12, abs=1e-12)
+            formula = final_pivot_formula(b, n, p)
+            assert formula / prod == pytest.approx(diff, rel=1e-12, abs=1e-12)
+
+
+def test_discriminant_is_the_h_difference_of_the_last_two_phases():
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 3):
+        etas = random_unimodular_phases(rng, n + 2)
+        a = UnimodularTuple.from_phases(etas).values
+        p = n + 4
+        diff = h_difference(p - n, a[:n], a[n], a[n + 1])
+        assert hup_discriminant(etas, n, p) == abs(diff)
+        want = h_brute(p - n, a[: n + 1]) - h_brute(p - n, a[:n] + (a[n + 1],))
+        assert diff == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_reduce_rejects_coincident_betas():

@@ -13,7 +13,6 @@ from hup_lab import (
     construct_consecutive_witness,
     construct_cross_diagonal_witness,
     cross_ft,
-    density_ft,
     gaussian,
     line_system_ft,
     odd_bump,
@@ -102,11 +101,6 @@ def test_support_intervals_and_breakpoints():
     assert merged.support_intervals() == ((-1.0, 2.0),)
     assert gaussian().support_intervals() is None
     assert 3.0 in triangle(center=3.0, width=1.0).breakpoints()
-
-
-def test_density_ft_helper_matches_method():
-    f = _mixture()
-    assert density_ft(f, 0.7) == pytest.approx(complex(f.ft(0.7)))
 
 
 def test_line_measure_single_height_ignores_eta():

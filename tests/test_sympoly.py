@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hup_lab import (
-    PolyValue,
     UnimodularTuple,
     complete_homogeneous,
     elementary_symmetric,
+    h_difference,
     h_difference_residual,
 )
 
@@ -72,6 +72,23 @@ def test_e_matches_subset_enumeration(k, s):
 def test_difference_identity_hand_example():
     # h_2(1,2) - h_2(1,3) = 7 - 13; (2-3) * h_1(1,2,3) = -6
     assert h_difference_residual(2, (1.0,), 2.0, 3.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_h_difference_hand_example_and_orientation():
+    # h_2(1,2) - h_2(1,3) = 7 - 13, with the x argument first
+    assert h_difference(2, (1.0,), 2.0, 3.0) == -6
+    assert h_difference(2, (1.0,), 3.0, 2.0) == 6
+    assert h_difference(3, (), 1j, 1j) == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_h_difference_matches_monomial_enumeration(k, s):
+    rng = np.random.default_rng(9000 + 10 * k + s)
+    xbar = tuple(rng.normal(size=s) + 1j * rng.normal(size=s))
+    x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+    want = h_brute(k, xbar + (x,)) - h_brute(k, xbar + (y,))
+    assert h_difference(k, xbar, x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_difference_identity_equal_points():
@@ -144,11 +161,3 @@ def test_h_accepts_unimodular_tuple_directly():
     u = UnimodularTuple.from_phases([0.25, 0.75, 1.25])
     assert complete_homogeneous(3, u) == pytest.approx(h_brute(3, u.values))
 
-
-def test_poly_value_records_degree_and_arity():
-    u = UnimodularTuple.from_phases([0.0, 0.5])
-    hv = PolyValue.h(2, u)
-    ev = PolyValue.e(1, u)
-    assert hv.degree == 2 and hv.arity == 2
-    assert hv.value == pytest.approx(complete_homogeneous(2, u))
-    assert ev.value == pytest.approx(elementary_symmetric(1, u))
