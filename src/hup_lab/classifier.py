@@ -67,22 +67,22 @@ def _fold_eta(eta: float) -> float:
     return out
 
 
-def _cluster_xis(xs: Sequence[float], tol: float) -> list[list[int]]:
-    """Indices grouped by xi, breaking clusters at gaps larger than tol."""
+def _cluster_xis(xs: Sequence[float]) -> list[list[int]]:
+    """Indices grouped by xi, breaking clusters at gaps larger than ``TOL.merge``."""
     order = sorted(range(len(xs)), key=lambda i: xs[i])
     groups: list[list[int]] = []
     for i in order:
-        if groups and xs[i] - xs[groups[-1][-1]] <= tol:
+        if groups and xs[i] - xs[groups[-1][-1]] <= TOL.merge:
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
 
 
-def fold_periodic(lam: LambdaSet, *, merge_tol: float = TOL.merge) -> LambdaSet:
+def fold_periodic(lam: LambdaSet) -> LambdaSet:
     """Reduce eta mod 2 into [0, 2) and merge coordinate-wise duplicates.
 
-    Duplicates are points within ``merge_tol`` in each coordinate after
+    Duplicates are points within ``TOL.merge`` in each coordinate after
     folding, including the wrap-around pair ``eta ~ 0`` vs ``eta ~ 2``.
     The first representative in sorted order is kept.
     """
@@ -91,26 +91,26 @@ def fold_periodic(lam: LambdaSet, *, merge_tol: float = TOL.merge) -> LambdaSet:
         return LambdaSet((), folded=True)
     kept: list[tuple[float, float]] = []
     xs = [p[0] for p in pts]
-    for group in _cluster_xis(xs, merge_tol):
+    for group in _cluster_xis(xs):
         rep_xi = pts[group[0]][0]
         etas = sorted(pts[i][1] for i in group)
         dedup: list[float] = []
         for e in etas:
-            if not dedup or e - dedup[-1] > merge_tol:
+            if not dedup or e - dedup[-1] > TOL.merge:
                 dedup.append(e)
-        if len(dedup) > 1 and (dedup[0] + 2.0) - dedup[-1] <= merge_tol:
+        if len(dedup) > 1 and (dedup[0] + 2.0) - dedup[-1] <= TOL.merge:
             dedup.pop()  # top of the period wraps onto the bottom point
         kept.extend((rep_xi, e) for e in dedup)
     kept.sort()
     return LambdaSet(tuple(kept), folded=True)
 
 
-def fiber(lam: LambdaSet, xi: float, *, merge_tol: float = TOL.merge) -> tuple[float, ...]:
+def fiber(lam: LambdaSet, xi: float) -> tuple[float, ...]:
     """Sorted distinct eta values sitting over ``xi`` in a folded set."""
     if not lam.folded:
         raise ValueError("fold the set before taking fibers")
     xi = float(xi)
-    return tuple(sorted(e for x, e in lam.points if abs(x - xi) <= merge_tol))
+    return tuple(sorted(e for x, e in lam.points if abs(x - xi) <= TOL.merge))
 
 
 def classify_fiber(
@@ -170,13 +170,7 @@ class FiberPartition:
 
 
 def partition(
-    lam: LambdaSet,
-    n: int,
-    p: int,
-    *,
-    merge_tol: float = TOL.merge,
-    discriminant_tol: float = TOL.discriminant,
-    cap: int = SUBSET_CAP,
+    lam: LambdaSet, n: int, p: int, *, discriminant_tol: float = TOL.discriminant
 ) -> FiberPartition:
     """Classify every fiber of a folded set; fibers partition the points."""
     if not lam.folded:
@@ -184,11 +178,9 @@ def partition(
     xs = [x for x, _ in lam.points]
     fibers: dict[float, tuple[float, ...]] = {}
     classes: dict[float, int] = {}
-    for group in _cluster_xis(xs, merge_tol):
+    for group in _cluster_xis(xs):
         rep = lam.points[group[0]][0]
         etas = tuple(sorted(lam.points[i][1] for i in group))
         fibers[rep] = etas
-        classes[rep] = classify_fiber(
-            etas, n, p, discriminant_tol=discriminant_tol, cap=cap
-        )
+        classes[rep] = classify_fiber(etas, n, p, discriminant_tol=discriminant_tol)
     return FiberPartition(fibers, classes)

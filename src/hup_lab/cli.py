@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -100,7 +101,6 @@ _SCHEMAS: dict[str, dict] = {
         "xi_step": 0.02,
         "off_min": 1e-3,
         "tolerance": TOL.grid_vanish,
-        "seed": 0,
     },
     "cross_witness": {
         "n": 0,
@@ -126,7 +126,6 @@ _SCHEMAS: dict[str, dict] = {
         "mass_ratio_min": 0.1,
         "off_min": 1e-3,
         "tolerance": TOL.curve_vanish,
-        "seed": 0,
     },
     "surface_witness": {
         "case": "axis",
@@ -138,7 +137,6 @@ _SCHEMAS: dict[str, dict] = {
         "profile": None,
         "quad_tol": TOL.quad_abs,
         "tolerance": TOL.curve_vanish,
-        "seed": 0,
     },
     "classify": {
         "points": _REQUIRED,
@@ -146,7 +144,6 @@ _SCHEMAS: dict[str, dict] = {
         "p": _REQUIRED,
         "expected_counts": None,
         "tolerance": TOL.discriminant,
-        "seed": 0,
     },
     "discriminant": {
         "etas": _REQUIRED,
@@ -155,14 +152,12 @@ _SCHEMAS: dict[str, dict] = {
         "expect": None,
         "min_value": None,
         "tolerance": TOL.discriminant,
-        "seed": 0,
     },
     "reduce": {
         "etas": _REQUIRED,
         "n": _REQUIRED,
         "p": _REQUIRED,
         "tolerance": TOL.pivot_rel,
-        "seed": 0,
     },
     "ft_grid": {
         "measure": _REQUIRED,
@@ -178,16 +173,31 @@ _SCHEMAS: dict[str, dict] = {
         "eta_max": 2.0,
         "eta_step": 0.5,
         "tolerance": TOL.grid_vanish,
-        "seed": 0,
     },
     "kronecker_check": {
         "density": None,
         "alpha": _REQUIRED,
         "sample_count": 401,
         "tolerance": 1e-6,
-        "seed": 0,
     },
 }
+
+# Keys that take a JSON list or object, by kind; null selects the default.
+# Every other key takes a single value, and null only where its default is.
+_STRUCTURED: dict[str, dict[str, type]] = {
+    "consecutive_witness": {"seed_density": list},
+    "cross_witness": {"densities": list},
+    "exp_curve_witness": {"profile": list},
+    "surface_witness": {"psi_density": list, "h_density": list, "profile": list},
+    "classify": {"points": list, "expected_counts": dict},
+    "discriminant": {"etas": list},
+    "reduce": {"etas": list},
+    "ft_grid": {
+        "heights": list, "densities": list, "seed_density": list, "lambda_heights": list
+    },
+    "kronecker_check": {"density": list},
+}
+_JSON_TYPES = {list: "a JSON list", dict: "a JSON object", type(None): "null"}
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -250,6 +260,18 @@ def _resolve(scenario: Scenario, tolerance: float | None = None) -> dict:
     given = dict(scenario.params)
     if tolerance is not None:
         given["tolerance"] = float(tolerance)
+    structured = _STRUCTURED[scenario.kind]
+    for key in sorted(given):
+        value, want = given[key], structured.get(key)
+        if want is not None:
+            ok = value is None or isinstance(value, want)
+        else:
+            ok = not isinstance(value, (list, dict))
+            ok = ok and (value is not None or schema[key] is None)
+        if not ok:
+            got = _JSON_TYPES.get(type(value), "a single value")
+            expected = _JSON_TYPES[want] if want else "a single value"
+            raise ScenarioError(f"{key} must be {expected}, not {got}")
     nonfinite = sorted(k for k, v in given.items() if _is_nonfinite(v))
     if nonfinite:
         raise ScenarioError(
@@ -328,22 +350,18 @@ class Check:
     name: str
     measured: float
     threshold: float
-    op: str  # one of <=, >=, ==
+    op: str  # the printed word: le, ge or eq
     passed: bool
 
 
+_OPS = {"<=": ("le", operator.le), ">=": ("ge", operator.ge), "==": ("eq", operator.eq)}
+
+
 def _check(name: str, measured: float, op: str, threshold: float) -> Check:
+    word, compare = _OPS[op]
     measured = float(measured)
     threshold = float(threshold)
-    if op == "<=":
-        ok = measured <= threshold
-    elif op == ">=":
-        ok = measured >= threshold
-    elif op == "==":
-        ok = measured == threshold
-    else:
-        raise ValueError(f"unknown comparison {op!r}")
-    return Check(name, measured, threshold, op, ok)
+    return Check(name, measured, threshold, word, compare(measured, threshold))
 
 
 @dataclass
@@ -352,7 +370,6 @@ class Report:
     params: dict
     infos: list[str] = field(default_factory=list)
     checks: list[Check] = field(default_factory=list)
-    elapsed_s: float = 0.0
 
     @property
     def overall(self) -> bool:
@@ -365,11 +382,10 @@ class Report:
             value = json.dumps(self.params[key], sort_keys=True)
             lines.append(f"param {key} = {value}")
         lines.extend(f"info {text}" for text in self.infos)
-        op_words = {"<=": "le", ">=": "ge", "==": "eq"}
         for c in self.checks:
             lines.append(
                 f"check {c.name} measured={c.measured:.17g} "
-                f"threshold={c.threshold:.17g} op={op_words.get(c.op, c.op)} "
+                f"threshold={c.threshold:.17g} op={c.op} "
                 f"result={'PASS' if c.passed else 'FAIL'}"
             )
         lines.append(f"overall {'PASS' if self.overall else 'FAIL'}")
@@ -538,8 +554,6 @@ def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
     checks = [_check("fibers_classified", len(part.fibers), ">=", 1.0)]
     if p["expected_counts"] is not None:
         expected = p["expected_counts"]
-        if not isinstance(expected, dict):
-            raise ScenarioError("expected_counts must be a JSON object")
         for key in sorted(expected):
             cls = int(key)
             checks.append(
@@ -599,9 +613,9 @@ def _grid_rows(p: dict):
     """Axes, lambda heights and transform rows of an ft_grid scenario.
 
     Returns ``(xi, eta, lambda_heights, rows)``; ``rows`` yields the
-    complex transform over ``eta`` at each ``xi`` in turn.  The lambda
-    heights are the scenario's, or the witness grid for consecutive
-    witnesses, and may be None.
+    complex transform over ``eta`` at each ``xi`` in turn, with its
+    magnitudes.  The lambda heights are the scenario's, or the witness grid
+    for consecutive witnesses, and may be None.
     """
     measure_kind = str(p["measure"])
     heights = p["lambda_heights"]
@@ -633,10 +647,17 @@ def _grid_rows(p: dict):
     xi = _grid(p["xi_min"], p["xi_max"], p["xi_step"])
     eta = _grid(p["eta_min"], p["eta_max"], p["eta_step"])
     # one call per xi: a single 2-D call rounds some values differently
-    rows = (
-        np.asarray(transform(measure, float(x), eta), dtype=complex) for x in xi
-    )
-    return xi, eta, heights, rows
+    return xi, eta, heights, (_row(transform(measure, float(x), eta)) for x in xi)
+
+
+def _row(values) -> tuple[list[complex], list[float]]:
+    """One grid row and its magnitudes, which the report and the CSV share.
+
+    ``np.hypot`` of the parts rounds as Python's ``abs`` of a complex does;
+    ``np.abs`` of a complex array may differ from both in the last bit.
+    """
+    values = np.asarray(values, dtype=complex)
+    return values.tolist(), np.hypot(values.real, values.imag).tolist()
 
 
 def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
@@ -647,10 +668,9 @@ def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
     ]
     total_max = 0.0
     lambda_max = 0.0
-    for row in rows:
-        row = np.abs(row)
-        total_max = max(total_max, float(np.max(row)))
-        lambda_max = max([lambda_max, *row[on_lambda].tolist()])
+    for _, mags in rows:
+        total_max = max(total_max, *mags)
+        lambda_max = max([lambda_max, *(mags[j] for j in on_lambda)])
     infos = [f"grid_rows {len(xi) * len(eta)}", f"max_abs {total_max:.17g}"]
     checks = []
     if heights:
@@ -684,15 +704,11 @@ _RUNNERS = {
 def run_scenario(scenario: Scenario, *, tolerance: float | None = None) -> Report:
     """Evaluate a scenario and return its report (no printing)."""
     params = _resolve(scenario, tolerance)
-    start = time.perf_counter()
     infos, checks = _RUNNERS[scenario.kind](params)
-    elapsed = time.perf_counter() - start
-    return Report(scenario.kind, params, infos, checks, elapsed)
+    return Report(scenario.kind, params, infos, checks)
 
 
-def emit_grid(
-    scenario: Scenario, out_path: str, *, tolerance: float | None = None
-) -> int:
+def emit_grid(scenario: Scenario, out_path: str) -> int:
     """Write the CSV grid of an ``ft_grid`` scenario; returns the row count.
 
     Columns are ``xi,eta,re,im,abs`` with 17 significant digits, rows in
@@ -700,15 +716,12 @@ def emit_grid(
     """
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
-    xi, eta, _, rows = _grid_rows(_resolve(scenario, tolerance))
+    xi, eta, _, rows = _grid_rows(_resolve(scenario))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("xi,eta,re,im,abs\n")
-        for x, vals in zip(xi, rows):
-            for e, v in zip(eta, vals):
-                fh.write(
-                    f"{float(x):.17g},{float(e):.17g},"
-                    f"{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\n"
-                )
+        for x, (vals, mags) in zip(xi.tolist(), rows):
+            for e, v, m in zip(eta.tolist(), vals, mags):
+                fh.write(f"{x:.17g},{e:.17g},{v.real:.17g},{v.imag:.17g},{m:.17g}\n")
     return len(xi) * len(eta)
 
 
@@ -720,19 +733,17 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="evaluate a scenario and print a report")
     run_parser.add_argument("scenario", help="path to a scenario file")
+    run_parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="override the scenario's primary tolerance",
+    )
     grid_parser = sub.add_parser("grid", help="write a transform grid CSV")
     grid_parser.add_argument("scenario", help="path to an ft_grid scenario file")
     grid_parser.add_argument("--out", required=True, help="CSV output path")
     for sp in (run_parser, grid_parser):
-        sp.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="override the scenario's primary tolerance",
-        )
-        sp.add_argument(
-            "--quiet", action="store_true", help="suppress stdout output"
-        )
+        sp.add_argument("--quiet", action="store_true", help="suppress stdout output")
     args = parser.parse_args(argv)
 
     try:
@@ -745,19 +756,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
+        start = time.perf_counter()
         if args.command == "run":
             report = run_scenario(scenario, tolerance=args.tolerance)
-            if not args.quiet:
-                sys.stdout.write(report.render())
-            print(f"# elapsed_s {report.elapsed_s:.3f}", file=sys.stderr)
-            return 0 if report.overall else 1
-        start = time.perf_counter()
-        rows = emit_grid(scenario, args.out, tolerance=args.tolerance)
+            text, code = report.render(), (0 if report.overall else 1)
+        else:
+            rows = emit_grid(scenario, args.out)
+            text, code = f"grid rows {rows} -> {args.out}\n", 0
         elapsed = time.perf_counter() - start
         if not args.quiet:
-            sys.stdout.write(f"grid rows {rows} -> {args.out}\n")
+            sys.stdout.write(text)
         print(f"# elapsed_s {elapsed:.3f}", file=sys.stderr)
-        return 0
+        return code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

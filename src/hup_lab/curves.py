@@ -23,7 +23,6 @@ exact rather than approximate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,13 +62,22 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
+def _phase(t: float, c: float) -> float:
+    """``H(t) = exp(t**2) + t/c + 1/(4c**2)`` at one point, through ``math.exp``."""
+    return math.exp(t * t) + t / c + 1.0 / (4.0 * c * c)
+
+
+def _slope(t: float, c: float) -> float:
+    """``H'(t) = 2t*exp(t**2) + 1/c`` at one point, through ``math.exp``."""
+    return 2.0 * t * math.exp(t * t) + 1.0 / c
+
+
 def _bracketed_root(
     fun: Callable[[float], float],
     dfun: Callable[[float], float],
     lo: float,
     hi: float,
     ftol: float,
-    max_iter: int = 200,
 ) -> float:
     """Newton iteration safeguarded by a sign-changing bracket [lo, hi]."""
     flo = fun(lo)
@@ -81,7 +89,7 @@ def _bracketed_root(
     if (flo > 0) == (fhi > 0):
         raise ValueError("root is not bracketed")
     t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         ft = fun(t)
         if abs(ft) <= ftol:
             return t
@@ -97,6 +105,27 @@ def _bracketed_root(
                 t_next = candidate
         t = t_next
     raise ArithmeticError("root solve did not converge")
+
+
+def _root_beyond(
+    fun: Callable[[float], float],
+    dfun: Callable[[float], float],
+    anchor: float,
+    direction: float,
+    ftol: float,
+) -> float:
+    """Root of ``fun`` on the ``direction`` side (+1 or -1) of ``anchor``.
+
+    The far end steps out by 1, 2, 4, ... until ``fun`` changes sign
+    there, and the bracket goes to :func:`_bracketed_root`.
+    """
+    positive = fun(anchor) > 0
+    step = 1.0
+    far = anchor + direction * step
+    while (fun(far) > 0) == positive:
+        step *= 2.0
+        far = anchor + direction * step
+    return _bracketed_root(fun, dfun, min(anchor, far), max(anchor, far), ftol)
 
 
 @dataclass(frozen=True)
@@ -145,25 +174,13 @@ class LinePhase:
         if v <= self.h_min:
             return self.t_min
         c = self.c
-
-        def fun(t: float) -> float:
-            return math.exp(t * t) + t / c + 1.0 / (4.0 * c * c) - v
-
-        def dfun(t: float) -> float:
-            return 2.0 * t * math.exp(t * t) + 1.0 / c
-
-        step = 1.0
-        if branch == "right":
-            hi = self.t_min + step
-            while fun(hi) < 0:
-                step *= 2.0
-                hi = self.t_min + step
-            return _bracketed_root(fun, dfun, self.t_min, hi, ftol)
-        lo = self.t_min - step
-        while fun(lo) < 0:
-            step *= 2.0
-            lo = self.t_min - step
-        return _bracketed_root(fun, dfun, lo, self.t_min, ftol)
+        return _root_beyond(
+            lambda t: _phase(t, c) - v,
+            lambda t: _slope(t, c),
+            self.t_min,
+            1.0 if branch == "right" else -1.0,
+            ftol,
+        )
 
 
 def line_phase(c: float) -> LinePhase:
@@ -176,24 +193,15 @@ def line_phase(c: float) -> LinePhase:
     if c == 0:
         raise ValueError("the slanted line needs a nonzero slope")
 
-    def fun(t: float) -> float:
-        return 2.0 * t * math.exp(t * t) + 1.0 / c
-
-    def dfun(t: float) -> float:
-        return (2.0 + 4.0 * t * t) * math.exp(t * t)
-
-    ftol = 1e-13 * max(1.0, abs(1.0 / c))
-    bound = 1.0
-    if c > 0:
-        # fun(0) = 1/c > 0 and fun(-B) -> -inf
-        while fun(-bound) >= 0:
-            bound *= 2.0
-        t_min = _bracketed_root(fun, dfun, -bound, 0.0, ftol)
-    else:
-        while fun(bound) <= 0:
-            bound *= 2.0
-        t_min = _bracketed_root(fun, dfun, 0.0, bound, ftol)
-    h_min = math.exp(t_min * t_min) + t_min / c + 1.0 / (4.0 * c * c)
+    # H'(0) = 1/c, so the minimiser lies on the side opposite to the sign of c
+    t_min = _root_beyond(
+        lambda t: _slope(t, c),
+        lambda t: (2.0 + 4.0 * t * t) * math.exp(t * t),
+        0.0,
+        -1.0 if c > 0 else 1.0,
+        1e-13 * max(1.0, abs(1.0 / c)),
+    )
+    h_min = _phase(t_min, c)
     if not h_min > 0:
         # unreachable: exp(s) >= 1 + s forces h >= 1; kept as a hard guard
         raise NonpositiveMinimumError(f"phase minimum {h_min} is not positive")
@@ -249,56 +257,48 @@ class CurveDensity:
         val = np.where(np.abs(arr) <= self.support_radius, val, 0j)
         return val[0].item() if scalar else val
 
-    @cached_property
-    def _pieces(self) -> tuple[tuple[float, float], ...]:
-        return self._compute_pieces()
-
     def smooth_pieces(self) -> tuple[tuple[float, float], ...]:
         """Disjoint intervals covering the support, smooth in their interiors."""
         return self._pieces
 
-    def _compute_pieces(self) -> tuple[tuple[float, float], ...]:
+    @cached_property
+    def _pieces(self) -> tuple[tuple[float, float], ...]:
         radius = self.support_radius
         if self.mixture is not None:
             spans = self.mixture.support_intervals()
             if spans is None:
                 spans = ((-radius, radius),)
-            else:
-                spans = tuple(
-                    (max(lo, -radius), min(hi, radius))
-                    for lo, hi in spans
-                    if lo < radius and hi > -radius
-                )
-            cuts = sorted(set(self.mixture.breakpoints()))
+            cuts = self.mixture.breakpoints()
+            pieces = [pair for lo, hi in spans for pair in _knot_pairs(lo, hi, cuts)]
+        else:
+            # witness representation: map profile knots through both branches
+            spans = self.profile.support_intervals()
+            if spans is None:
+                raise WitnessConstructionError("witness profile must be compact")
+            cuts = self.profile.breakpoints()
             pieces = []
             for lo, hi in spans:
-                knots = [lo] + [b for b in cuts if lo < b < hi] + [hi]
-                pieces.extend(
-                    (a, b) for a, b in zip(knots, knots[1:]) if b > a
-                )
-            return tuple(pieces)
-
-        # witness representation: map positive profile knots through both branches
-        spans = self.profile.support_intervals()
-        if spans is None:
-            raise WitnessConstructionError("witness profile must be compact")
-        cuts = sorted(set(self.profile.breakpoints()))
-        pieces = []
-        for lo, hi in spans:
-            if hi <= 0:
-                continue  # mirrored half; covered through the left branch
-            knots = [lo] + [b for b in cuts if lo < b < hi] + [hi]
-            right = [self.phase.inverse(k * k, "right") for k in knots]
-            left = [self.phase.inverse(k * k, "left") for k in knots]
-            pieces.extend((a, b) for a, b in zip(right, right[1:]) if b > a)
-            left = left[::-1]
-            pieces.extend((a, b) for a, b in zip(left, left[1:]) if b > a)
-        pieces = [
+                if hi <= 0:
+                    continue  # mirrored half; covered through the left branch
+                for branch in ("right", "left"):
+                    pieces += _knot_pairs(
+                        lo, hi, cuts, lambda k: self.phase.inverse(k * k, branch)
+                    )
+        return tuple(
             (max(lo, -radius), min(hi, radius))
             for lo, hi in sorted(pieces)
             if lo < radius and hi > -radius
-        ]
-        return tuple(pieces)
+        )
+
+
+def _knot_pairs(lo, hi, cuts, through=float) -> list[tuple[float, float]]:
+    """Intervals between consecutive knots, each knot mapped by ``through``.
+
+    The knots are ``lo``, the cuts inside ``(lo, hi)`` and ``hi``; a
+    decreasing map yields its intervals reversed, and empty ones are dropped.
+    """
+    knots = [through(k) for k in (lo, *(b for b in cuts if lo < b < hi), hi)]
+    return [(min(a, b), max(a, b)) for a, b in zip(knots, knots[1:]) if a != b]
 
 
 @dataclass(frozen=True)
@@ -328,6 +328,8 @@ def _chopped(piece: tuple[float, float], max_len: float = 0.5):
 
 
 def _oscillatory_sum(fun, pieces, x, y, abs_tol):
+    """Paired Gauss-Legendre sum over ``pieces``, refined until its error
+    estimate is within ``abs_tol``; refuses if four passes do not get there."""
     for attempt in range(4):
         factor = 2**attempt
         total = 0j
@@ -344,8 +346,11 @@ def _oscillatory_sum(fun, pieces, x, y, abs_tol):
                 total += complex(fine.sum())
                 err += float(np.abs(fine - coarse).sum())
         if err <= abs_tol:
-            break
-    return QuadResult(total, err)
+            return QuadResult(total, err)
+    raise OscillationBudgetError(
+        f"quadrature error {err:.6g} still exceeds the tolerance {abs_tol:.6g} "
+        "after the last refinement pass"
+    )
 
 
 def exp_curve_ft(
@@ -358,7 +363,8 @@ def exp_curve_ft(
     Gauss-Legendre rules; the reported error is the sum of the pairwise
     rule differences.  Frequencies whose oscillation ``|y| * exp(T**2)``
     exceeds the documented budget are refused outright rather than
-    returning an untrusted number.
+    returning an untrusted number, and so is a sum whose error estimate
+    still exceeds ``abs_tol`` after the last refinement pass.
     """
     x = float(x)
     y = float(y)
@@ -379,7 +385,7 @@ def exp_curve_ft(
     return _oscillatory_sum(integrand, pieces, x, y, abs_tol)
 
 
-def absolute_mass(g: CurveDensity, *, abs_tol: float = TOL.quad_abs) -> QuadResult:
+def absolute_mass(g: CurveDensity) -> QuadResult:
     """Integral of ``|g|`` over the support (non-oscillatory panels)."""
     pieces = g.smooth_pieces()
     if not pieces:
@@ -389,10 +395,10 @@ def absolute_mass(g: CurveDensity, *, abs_tol: float = TOL.quad_abs) -> QuadResu
         return np.abs(g.value_at(t)).astype(complex)
 
     # x=4 sets a floor of ~16 panels per unit length for the smooth integrand
-    return _oscillatory_sum(integrand, pieces, 4.0, 0.0, abs_tol)
+    return _oscillatory_sum(integrand, pieces, 4.0, 0.0, TOL.quad_abs)
 
 
-def odd_profile(g: CurveDensity, c: float, u, *, offset: float = 0.0):
+def odd_profile(g: CurveDensity, c: float, u):
     """Profile of ``g`` in the square-root variable of the line ``y = c*x``.
 
     For ``|u| > sqrt(h_min)`` this is ``g(t(u)) * 2u / H'(t(u))`` where
@@ -400,10 +406,6 @@ def odd_profile(g: CurveDensity, c: float, u, *, offset: float = 0.0):
     the left branch for ``u < 0``; inside the fold it is 0.  The transform
     of ``g`` vanishes on the whole line ``y = c*x`` exactly when this
     profile is an odd function of ``u``.
-
-    With ``offset = d`` the density is first modulated by
-    ``exp(-i*pi*d*exp(t**2))``, which produces the analogous profile for
-    the parallel line ``y = c*x + d``.
     """
     c = float(c)
     if g.phase is not None and g.phase.c == c:
@@ -419,10 +421,7 @@ def odd_profile(g: CurveDensity, c: float, u, *, offset: float = 0.0):
         d = phase.derivative(t)
         if d == 0:
             return 0j
-        val = complex(g.value_at(t)) * (2.0 * uv) / d
-        if offset:
-            val *= cmath.exp(-1j * math.pi * offset * math.exp(t * t))
-        return val
+        return complex(g.value_at(t)) * (2.0 * uv) / d
 
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 0:
@@ -431,7 +430,7 @@ def odd_profile(g: CurveDensity, c: float, u, *, offset: float = 0.0):
 
 
 def standard_witness_profile(
-    c: float, *, gap: float = 0.2, width: float = 0.5, amplitude: complex = 1.0
+    c: float, *, gap: float = 0.2, width: float = 0.5
 ) -> Density:
     """Odd triangle-pair profile clearing the fold of the slope-``c`` phase.
 
@@ -439,19 +438,14 @@ def standard_witness_profile(
     ``[sqrt(h_min) + gap, sqrt(h_min) + gap + 2*width]``.
     """
     phase = line_phase(c)
-    lobe = triangle(
-        center=phase.sqrt_min + gap + width, width=width, amplitude=amplitude
-    )
-    return odd_pair(lobe)
+    return odd_pair(triangle(center=phase.sqrt_min + gap + width, width=width))
 
 
-def construct_single_line_witness(
-    c: float, phi: Density, *, gap_min: float = 1e-3
-) -> CurveDensity:
+def construct_single_line_witness(c: float, phi: Density) -> CurveDensity:
     """Curve density whose transform vanishes on the single line ``y = c*x``.
 
     ``phi`` must be odd, compactly supported, and clear the fold:
-    ``|u| >= sqrt(h_min) + gap_min`` on its support.  The witness is the
+    ``|u| >= sqrt(h_min) + 1e-3`` on its support.  The witness is the
     pull-back of ``phi`` through the square-root substitution, so its
     profile *is* ``phi`` and the line-restricted transform is the integral
     of an odd function.
@@ -462,7 +456,7 @@ def construct_single_line_witness(
     spans = phi.support_intervals()
     if spans is None:
         raise WitnessConstructionError("witness profile must be compactly supported")
-    need = phase.sqrt_min + float(gap_min)
+    need = phase.sqrt_min + 1e-3
     for lo, hi in spans:
         if not (lo >= need or hi <= -need):
             raise WitnessConstructionError(
@@ -482,8 +476,8 @@ def construct_single_line_witness(
 
 
 def surface_ft(
-    tau_density: CurveDensity | Density,
-    h_density: CurveDensity | Density,
+    tau_density: CurveDensity,
+    h_density: CurveDensity,
     x: Sequence[float],
     *,
     abs_tol: float = TOL.quad_abs,
@@ -499,10 +493,6 @@ def surface_ft(
     x = tuple(float(v) for v in x)
     if len(x) != 3:
         raise ValueError("need a frequency 3-vector (x1, x2, x3)")
-    if isinstance(tau_density, Density):
-        tau_density = CurveDensity.from_density(tau_density)
-    if isinstance(h_density, Density):
-        h_density = CurveDensity.from_density(h_density)
     first = exp_curve_ft(tau_density, x[0], x[2], abs_tol=abs_tol)
     second = exp_curve_ft(h_density, x[1], x[2], abs_tol=abs_tol)
     value = first.value * second.value

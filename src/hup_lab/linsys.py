@@ -31,12 +31,12 @@ __all__ = [
 ]
 
 
-def _require_distinct(nodes, gap_tol: float) -> float:
-    """The smallest pairwise node gap; refuses gaps below ``gap_tol``."""
+def _require_distinct(nodes) -> float:
+    """The smallest pairwise node gap; refuses gaps below ``TOL.node_gap``."""
     gap = UnimodularTuple(nodes).min_gap()
-    if gap < gap_tol:
+    if gap < TOL.node_gap:
         raise IllConditionedError(
-            f"nodes are not reliably distinct (min gap {gap:.3e} < {gap_tol:.1e})",
+            f"nodes are not reliably distinct (min gap {gap:.3e} < {TOL.node_gap:.1e})",
             min_gap=gap,
         )
     return gap
@@ -105,18 +105,18 @@ class PowerSolution:
     residual: float
 
 
-def solve_power_system(system: PowerSystem, *, gap_tol: float = TOL.node_gap) -> PowerSolution:
+def solve_power_system(system: PowerSystem) -> PowerSolution:
     """Solve a square power system by dense LU with partial pivoting.
 
     Raises ``IllConditionedError`` (carrying the offending minimum gap)
-    when two nodes are closer than ``gap_tol``.
+    when two nodes are closer than ``TOL.node_gap``.
     """
     m = len(system.nodes)
     if len(system.column_powers) != m:
         raise ValueError("system must be square: one column power per node")
     if m == 0:
         raise ValueError("system must have at least one node")
-    _require_distinct(system.nodes, gap_tol)
+    _require_distinct(system.nodes)
     a = system.matrix()
     b = system.rhs()
     x = np.linalg.solve(a, b)
@@ -164,9 +164,7 @@ class Reduction:
         return out
 
 
-def triangularize_power_system(
-    betas, n: int, p: int, *, gap_tol: float = TOL.node_gap
-) -> Reduction:
+def triangularize_power_system(betas, n: int, p: int) -> Reduction:
     """Reduce the power-column matrix to upper-triangular form.
 
     The chain subtracts, at stage ``s``, the multiple ``M[i,s]/M[s,s]`` of
@@ -176,7 +174,7 @@ def triangularize_power_system(
     principal minors (a Vandermonde ratio for ``i <= n``).
     """
     vals = _coerce(betas)
-    gap = _require_distinct(vals, gap_tol)
+    gap = _require_distinct(vals)
     u = power_column_matrix(vals, n, p).copy()
     m = n + 2
     for s in range(m - 1):

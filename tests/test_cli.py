@@ -83,6 +83,11 @@ def test_unknown_kind_and_keys_are_rejected():
                 {"etas": [0, 0.5, 1.5], "n": 1, "p": 3, "mystery": True},
             )
         )
+    # only cross_witness draws random densities, so only it takes a seed
+    with pytest.raises(ScenarioError, match="seed"):
+        run_scenario(
+            Scenario("reduce", {"etas": [0, 0.5, 1.5], "n": 1, "p": 3, "seed": 0})
+        )
 
 
 def test_run_scenario_report_contents():
@@ -199,9 +204,43 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
     with pytest.raises(ScenarioError, match="non-finite"):
         run_scenario(load_scenario(path), tolerance=float("nan"))
     assert main(["run", path, "--tolerance", "nan"]) == 2
+    # the grid CSV has no check, so grid takes no --tolerance at all
     grid = write(tmp_path, "grid.scenario", FAST_GRID)
-    assert main(["grid", grid, "--out", str(tmp_path / "g.csv"), "--tolerance", "inf"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", grid, "--out", str(tmp_path / "g.csv"), "--tolerance", "inf"])
+    assert exc.value.code == 2
     assert main(["run", path, "--tolerance", "1e-9"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (FAST_GRID + "lambda_heights = 5\n", "lambda_heights"),
+        ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = [1]\np = 3\n", "n"),
+        ('kind = exp_curve_witness\nc = {"a": 1}\n', "c"),
+        # null stands for the default only where the default is null
+        ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1\np = 3\ntolerance = null\n",
+         "tolerance"),
+        ("kind = classify\npoints = [[0, 0.5]]\nn = 1\np = 3\nexpected_counts = [1]\n",
+         "expected_counts"),
+    ],
+    ids=["number_for_list", "list_for_number", "object_for_number", "null_for_number",
+         "list_for_object"],
+)
+def test_mistyped_values_are_refused(tmp_path, capsys, text, key):
+    path = write(tmp_path, "t.scenario", text)
+    with pytest.raises(ScenarioError, match=f"^{key} must be"):
+        run_scenario(load_scenario(path))
+    assert main(["run", path]) == 2
+    assert "overall" not in capsys.readouterr().out
+
+
+def test_quadrature_short_of_its_tolerance_is_refused(tmp_path, capsys):
+    text = "kind = exp_curve_witness\nc = 1.0\nx_step = 0.5\nquad_tol = 1e-18\n"
+    assert main(["run", write(tmp_path, "q.scenario", text)]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert "exceeds the tolerance 1e-18" in captured.err
 
 
 def test_nonfinite_values_nested_in_objects_are_refused():
@@ -387,6 +426,9 @@ def test_null_density_selects_the_default():
     explicit = Scenario("kronecker_check", {"alpha": 1.5, "density": gauss})
     default = Scenario("kronecker_check", {"alpha": 1.5})
     assert run_scenario(explicit).checks == run_scenario(default).checks
+    disc = Scenario("discriminant", {"etas": [0.0, 0.5, 1.5], "n": 1, "p": 3})
+    null_expect = Scenario("discriminant", dict(disc.params, expect=None))
+    assert run_scenario(null_expect).checks == run_scenario(disc).checks
 
 
 AGREEMENT_GRIDS = {
@@ -416,10 +458,8 @@ def test_ft_grid_report_agrees_with_its_csv(tmp_path, name):
     report = run_scenario(scenario)
     infos = dict(info.split(" ", 1) for info in report.infos)
     assert int(infos["grid_rows"]) == rows == len(table)
-    # the report takes |v| with numpy, the CSV with Python: they may differ
-    # in the last bit
-    ulp = 1e-15
-    assert float(infos["max_abs"]) == pytest.approx(max(r[4] for r in table), rel=ulp)
+    # the report and the CSV read the same magnitudes, so they agree exactly
+    assert float(infos["max_abs"]) == max(r[4] for r in table)
     if name == "consecutive":
         heights = [0.0, 1.0]  # the n = 1 witness grid
     else:
@@ -428,7 +468,7 @@ def test_ft_grid_report_agrees_with_its_csv(tmp_path, name):
     assert len(on_lambda) == len(heights) * len({r[0] for r in table})
     (check,) = report.checks
     assert check.name == "lambda_rows_max"
-    assert check.measured == pytest.approx(max(on_lambda), rel=ulp)
+    assert check.measured == max(on_lambda)
 
 
 def test_cli_runs_without_scipy():

@@ -184,6 +184,10 @@ def test_exp_curve_ft_budget_refusal():
     wide = CurveDensity.from_density(gaussian(), support_radius=30.0)
     with pytest.raises(OscillationBudgetError):
         exp_curve_ft(wide, 1.0, 1.0)
+    # the last refinement pass leaves about 1e-16: a sum short of its
+    # tolerance is refused, not returned
+    with pytest.raises(OscillationBudgetError, match="exceeds the tolerance 1e-18"):
+        exp_curve_ft(g, 0.5, 0.5, abs_tol=1e-18)
 
 
 def test_phase_factor_identity():
