@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import LambdaSet, fold_periodic, partition
-from .config import TOL
+from .config import GRID_CAP, TOL
 from .curves import (
     CurveDensity,
     absolute_mass,
@@ -92,112 +92,195 @@ class Scenario:
 
 _REQUIRED = object()
 
-_SCHEMAS: dict[str, dict] = {
+
+# Converters: each takes a key and its JSON value and returns the value the
+# runners read, or raises a ScenarioError that starts "<key> must be" and
+# names the expected shape, or names the key as non-finite.
+def _real(key: str, value, shape: str = "a number") -> float:
+    """A finite float from a JSON number or a bare numeric string (``.5``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ScenarioError(f"{key} must be {shape}")
+    try:
+        x = float(value)
+    except ValueError:
+        raise ScenarioError(f"{key} must be {shape}") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"non-finite value (NaN or Infinity) in {key}")
+    return x
+
+
+def _whole(key: str, value, shape: str = "a whole number") -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    x = _real(key, value, shape)
+    if not x.is_integer():
+        raise ScenarioError(f"{key} must be {shape}")
+    return int(x)
+
+
+def _word(key: str, value, shape: str = "a word") -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{key} must be {shape}")
+    return value
+
+
+def _list(key: str, value, shape: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key} must be {shape}")
+    return value
+
+
+def _reals(key: str, value, shape: str = "a JSON list of numbers") -> list[float]:
+    return [_real(key, v, shape) for v in _list(key, value, shape)]
+
+
+def _pair(key: str, value, shape: str) -> list[float]:
+    pair = _reals(key, value, shape)
+    if len(pair) != 2:
+        raise ScenarioError(f"{key} must be {shape}")
+    return pair
+
+
+def _pairs(key: str, value) -> list[list[float]]:
+    shape = "a JSON list of [xi, eta] pairs"
+    return [_pair(key, q, shape) for q in _list(key, value, shape)]
+
+
+_ATOMS = (
+    'a JSON list of atoms {"kind": word, "center": number, "width": number,'
+    ' "amplitude": number or [re, im]}'
+)
+
+
+def _density(key: str, value) -> Density:
+    if not all(isinstance(a, dict) for a in _list(key, value, _ATOMS)):
+        raise ScenarioError(f"{key} must be {_ATOMS}")
+    atoms = []
+    for obj in value:
+        unknown = sorted(set(obj) - {"kind", "center", "width", "amplitude"})
+        if unknown:
+            raise ScenarioError(f"unknown atom keys in {key}: {', '.join(unknown)}")
+        amp = obj.get("amplitude", 1.0)
+        fields = (
+            _word(key, obj.get("kind", "gaussian"), _ATOMS),
+            _real(key, obj.get("center", 0.0), _ATOMS),
+            _real(key, obj.get("width", 1.0), _ATOMS),
+            complex(*_pair(key, amp, _ATOMS))
+            if isinstance(amp, list)
+            else complex(_real(key, amp, _ATOMS)),
+        )
+        try:
+            atoms.append(DensityAtom(*fields))
+        except ValueError as exc:
+            raise ScenarioError(f"bad atom in {key}: {exc}") from exc
+    return Density(tuple(atoms))
+
+
+def _densities(key: str, value) -> list[Density]:
+    return [_density(key, d) for d in _list(key, value, "a JSON list of density lists")]
+
+
+def _counts(key: str, value) -> dict[int, int]:
+    """Class -> expected fiber count, in the sorted order of the class strings."""
+    shape = "a JSON object of whole-number counts by class"
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be {shape}")
+    return {_whole(key, k, shape): _whole(key, value[k], shape) for k in sorted(value)}
+
+
+# Per kind, each key's converter and default; null selects the default only
+# where the default is null.
+_SCHEMAS: dict[str, dict[str, tuple]] = {
     "consecutive_witness": {
-        "n": _REQUIRED,
-        "seed_density": None,
-        "xi_min": -10.0,
-        "xi_max": 10.0,
-        "xi_step": 0.02,
-        "off_min": 1e-3,
-        "tolerance": TOL.grid_vanish,
+        "n": (_whole, _REQUIRED),
+        "seed_density": (_density, None),
+        "xi_min": (_real, -10.0),
+        "xi_max": (_real, 10.0),
+        "xi_step": (_real, 0.02),
+        "off_min": (_real, 1e-3),
+        "tolerance": (_real, TOL.grid_vanish),
     },
     "cross_witness": {
-        "n": 0,
-        "variant": "diagonal",
-        "densities": None,
-        "grid_points": 1001,
-        "grid_min": -10.0,
-        "grid_max": 10.0,
-        "off_min": 1e-3,
-        "tolerance": TOL.grid_vanish,
-        "seed": 0,
+        "n": (_whole, 0),
+        "variant": (_word, "diagonal"),
+        "densities": (_densities, None),
+        "grid_points": (_whole, 1001),
+        "grid_min": (_real, -10.0),
+        "grid_max": (_real, 10.0),
+        "off_min": (_real, 1e-3),
+        "tolerance": (_real, TOL.grid_vanish),
+        "seed": (_whole, 0),
     },
     "exp_curve_witness": {
-        "c": _REQUIRED,
-        "gap": 0.2,
-        "lobe_width": 0.5,
-        "profile": None,
-        "d": 1.0,
-        "x_min": -5.0,
-        "x_max": 5.0,
-        "x_step": 0.02,
-        "quad_tol": TOL.quad_abs,
-        "mass_ratio_min": 0.1,
-        "off_min": 1e-3,
-        "tolerance": TOL.curve_vanish,
+        "c": (_real, _REQUIRED),
+        "gap": (_real, 0.2),
+        "lobe_width": (_real, 0.5),
+        "profile": (_density, None),
+        "d": (_real, 1.0),
+        "x_min": (_real, -5.0),
+        "x_max": (_real, 5.0),
+        "x_step": (_real, 0.02),
+        "quad_tol": (_real, TOL.quad_abs),
+        "mass_ratio_min": (_real, 0.1),
+        "off_min": (_real, 1e-3),
+        "tolerance": (_real, TOL.curve_vanish),
     },
     "surface_witness": {
-        "case": "axis",
-        "c": 1.0,
-        "extent": 3.0,
-        "points": 21,
-        "psi_density": None,
-        "h_density": None,
-        "profile": None,
-        "quad_tol": TOL.quad_abs,
-        "tolerance": TOL.curve_vanish,
+        "case": (_word, "axis"),
+        "c": (_real, 1.0),
+        "extent": (_real, 3.0),
+        "points": (_whole, 21),
+        "psi_density": (_density, None),
+        "h_density": (_density, None),
+        "profile": (_density, None),
+        "quad_tol": (_real, TOL.quad_abs),
+        "tolerance": (_real, TOL.curve_vanish),
     },
     "classify": {
-        "points": _REQUIRED,
-        "n": _REQUIRED,
-        "p": _REQUIRED,
-        "expected_counts": None,
-        "tolerance": TOL.discriminant,
+        "points": (_pairs, _REQUIRED),
+        "n": (_whole, _REQUIRED),
+        "p": (_whole, _REQUIRED),
+        "expected_counts": (_counts, None),
+        "tolerance": (_real, TOL.discriminant),
     },
     "discriminant": {
-        "etas": _REQUIRED,
-        "n": _REQUIRED,
-        "p": _REQUIRED,
-        "expect": None,
-        "min_value": None,
-        "tolerance": TOL.discriminant,
+        "etas": (_reals, _REQUIRED),
+        "n": (_whole, _REQUIRED),
+        "p": (_whole, _REQUIRED),
+        "expect": (_real, None),
+        "min_value": (_real, None),
+        "tolerance": (_real, TOL.discriminant),
     },
     "reduce": {
-        "etas": _REQUIRED,
-        "n": _REQUIRED,
-        "p": _REQUIRED,
-        "tolerance": TOL.pivot_rel,
+        "etas": (_reals, _REQUIRED),
+        "n": (_whole, _REQUIRED),
+        "p": (_whole, _REQUIRED),
+        "tolerance": (_real, TOL.pivot_rel),
     },
     "ft_grid": {
-        "measure": _REQUIRED,
-        "heights": None,
-        "densities": None,
-        "n": None,
-        "seed_density": None,
-        "lambda_heights": None,
-        "xi_min": -10.0,
-        "xi_max": 10.0,
-        "xi_step": 0.02,
-        "eta_min": 0.0,
-        "eta_max": 2.0,
-        "eta_step": 0.5,
-        "tolerance": TOL.grid_vanish,
+        "measure": (_word, _REQUIRED),
+        "heights": (_reals, None),
+        "densities": (_densities, None),
+        "n": (_whole, None),
+        "seed_density": (_density, None),
+        "lambda_heights": (_reals, None),
+        "xi_min": (_real, -10.0),
+        "xi_max": (_real, 10.0),
+        "xi_step": (_real, 0.02),
+        "eta_min": (_real, 0.0),
+        "eta_max": (_real, 2.0),
+        "eta_step": (_real, 0.5),
+        "tolerance": (_real, TOL.grid_vanish),
     },
     "kronecker_check": {
-        "density": None,
-        "alpha": _REQUIRED,
-        "sample_count": 401,
-        "tolerance": 1e-6,
+        "density": (_density, None),
+        "alpha": (_real, _REQUIRED),
+        "sample_count": (_whole, 401),
+        "tolerance": (_real, 1e-6),
     },
 }
-
-# Keys that take a JSON list or object, by kind; null selects the default.
-# Every other key takes a single value, and null only where its default is.
-_STRUCTURED: dict[str, dict[str, type]] = {
-    "consecutive_witness": {"seed_density": list},
-    "cross_witness": {"densities": list},
-    "exp_curve_witness": {"profile": list},
-    "surface_witness": {"psi_density": list, "h_density": list, "profile": list},
-    "classify": {"points": list, "expected_counts": dict},
-    "discriminant": {"etas": list},
-    "reduce": {"etas": list},
-    "ft_grid": {
-        "heights": list, "densities": list, "seed_density": list, "lambda_heights": list
-    },
-    "kronecker_check": {"density": list},
-}
-_JSON_TYPES = {list: "a JSON list", dict: "a JSON object", type(None): "null"}
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -230,26 +313,9 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario_text(fh.read())
 
 
-def _is_nonfinite(value) -> bool:
-    """True if ``value`` holds NaN or an infinity at any depth.
-
-    Bare strings count when ``float`` would read them as non-finite
-    (``nan``, ``inf``), since the runners convert them with ``float``.
-    """
-    if isinstance(value, dict):
-        return any(_is_nonfinite(v) for v in value.values())
-    if isinstance(value, list):
-        return any(_is_nonfinite(v) for v in value)
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            return False
-    return isinstance(value, float) and not math.isfinite(value)
-
-
-def _resolve(scenario: Scenario, tolerance: float | None = None) -> dict:
-    """Scenario parameters over schema defaults, with the tolerance override."""
+def _resolve(scenario: Scenario, tolerance: float | None = None) -> tuple[dict, dict]:
+    """Scenario values over schema defaults and the tolerance override, as
+    given (the report echoes these) and converted (the runners read these)."""
     schema = _SCHEMAS.get(scenario.kind)
     if schema is None:
         known = ", ".join(sorted(_SCHEMAS))
@@ -260,89 +326,43 @@ def _resolve(scenario: Scenario, tolerance: float | None = None) -> dict:
     given = dict(scenario.params)
     if tolerance is not None:
         given["tolerance"] = float(tolerance)
-    structured = _STRUCTURED[scenario.kind]
-    for key in sorted(given):
-        value, want = given[key], structured.get(key)
-        if want is not None:
-            ok = value is None or isinstance(value, want)
-        else:
-            ok = not isinstance(value, (list, dict))
-            ok = ok and (value is not None or schema[key] is None)
-        if not ok:
-            got = _JSON_TYPES.get(type(value), "a single value")
-            expected = _JSON_TYPES[want] if want else "a single value"
-            raise ScenarioError(f"{key} must be {expected}, not {got}")
-    nonfinite = sorted(k for k, v in given.items() if _is_nonfinite(v))
-    if nonfinite:
-        raise ScenarioError(
-            f"non-finite value (NaN or Infinity) in {', '.join(nonfinite)}"
-        )
-    resolved = {}
-    for key, default in schema.items():
-        if key in given:
-            resolved[key] = given[key]
-        elif default is _REQUIRED:
-            raise ScenarioError(f"{scenario.kind} requires the {key!r} key")
-        else:
-            resolved[key] = default
-    return resolved
+    values = {}
+    for key, (convert, default) in schema.items():
+        if key not in given:
+            if default is _REQUIRED:
+                raise ScenarioError(f"{scenario.kind} requires the {key!r} key")
+            given[key] = default
+        value = given[key]
+        values[key] = None if value is None and default is None else convert(key, value)
+    return given, values
 
 
-def _amplitude(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ScenarioError("amplitude pairs must be [re, im]")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value))
+def _or(value, default):
+    """``value``, or ``default()`` when it is None; ``[]`` is the zero density."""
+    return default() if value is None else value
 
 
-def _density_from_json(value) -> Density:
-    if not isinstance(value, list):
-        raise ScenarioError("a density is a JSON list of atom objects")
-    atoms = []
-    for obj in value:
-        if not isinstance(obj, dict):
-            raise ScenarioError("each atom must be a JSON object")
-        unknown = sorted(set(obj) - {"kind", "center", "width", "amplitude"})
-        if unknown:
-            raise ScenarioError(f"unknown atom keys: {', '.join(unknown)}")
-        try:
-            atoms.append(
-                DensityAtom(
-                    str(obj.get("kind", "gaussian")),
-                    float(obj.get("center", 0.0)),
-                    float(obj.get("width", 1.0)),
-                    _amplitude(obj.get("amplitude", 1.0)),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"bad atom: {exc}") from exc
-    return Density(tuple(atoms))
+def _capped(count: int, keys: str) -> int:
+    if count > GRID_CAP:
+        raise ScenarioError(f"{keys} must be set for at most {GRID_CAP} grid points")
+    return count
 
 
-def _density_or(p: dict, key: str, default) -> Density:
-    """The density under ``key``, or ``default()`` when the key is null.
+def _grids(p: dict, *axes: str) -> list[np.ndarray]:
+    """The ``<axis>_min .. <axis>_max`` grid by ``<axis>_step``, per axis.
 
-    Only null selects the default: an empty list is the zero density.
+    Refused before anything is allocated when one axis, or their product,
+    exceeds GRID_CAP points.
     """
-    value = p[key]
-    return default() if value is None else _density_from_json(value)
-
-
-def _densities_from_json(value) -> list[Density]:
-    if not isinstance(value, list):
-        raise ScenarioError("densities must be a JSON list of density lists")
-    return [_density_from_json(d) for d in value]
-
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    lo = float(lo)
-    hi = float(hi)
-    step = float(step)
-    if step <= 0 or hi < lo:
-        raise ScenarioError("grid needs step > 0 and max >= min")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    counts = []
+    for axis in axes:
+        lo, hi, step = p[f"{axis}_min"], p[f"{axis}_max"], p[f"{axis}_step"]
+        if step <= 0 or hi < lo:
+            raise ScenarioError(f"the {axis} grid needs step > 0 and max >= min")
+        span = (hi - lo) / step + 1e-9  # inf when the span overflows
+        counts.append(_capped(int(min(span, GRID_CAP)) + 1, f"{axis}_step"))
+    _capped(math.prod(counts), " and ".join(f"{a}_step" for a in axes))
+    return [p[f"{a}_min"] + p[f"{a}_step"] * np.arange(k) for a, k in zip(axes, counts)]
 
 
 @dataclass(frozen=True)
@@ -412,11 +432,9 @@ def _random_densities(n: int, rng: np.random.Generator) -> list[Density]:
 
 
 def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
-    n = int(p["n"])
-    measure, lam = construct_consecutive_witness(
-        n, _density_or(p, "seed_density", gaussian)
-    )
-    xi = _grid(p["xi_min"], p["xi_max"], p["xi_step"])
+    n = p["n"]
+    measure, lam = construct_consecutive_witness(n, _or(p["seed_density"], gaussian))
+    (xi,) = _grids(p, "xi")
     on_max = max(
         float(np.max(np.abs(line_system_ft(measure, xi, eta)))) for eta in lam
     )
@@ -431,21 +449,19 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
-    variant = str(p["variant"])
-    t = np.linspace(float(p["grid_min"]), float(p["grid_max"]), int(p["grid_points"]))
+    variant, densities = p["variant"], p["densities"]
+    t = np.linspace(
+        p["grid_min"], p["grid_max"], _capped(p["grid_points"], "grid_points")
+    )
     if variant == "diagonal":
-        n = int(p["n"])
-        if p["densities"] is not None:
-            densities = _densities_from_json(p["densities"])
-        else:
-            densities = _random_densities(n, np.random.default_rng(int(p["seed"])))
-        measure = construct_cross_diagonal_witness(n, densities)
+        if densities is None:
+            densities = _random_densities(p["n"], np.random.default_rng(p["seed"]))
+        measure = construct_cross_diagonal_witness(p["n"], densities)
         names, on_eta, off_eta = ("diagonal_max", "off_diagonal_max"), t, t + 1.0
     elif variant == "xi_axis":
-        if p["densities"] is not None:
-            f0 = _densities_from_json(p["densities"])[0]
-        else:
-            f0 = odd_bump()
+        if densities == []:
+            raise ScenarioError("densities must be null or start with the base density")
+        f0 = odd_bump() if densities is None else densities[0]
         if abs(complex(f0.ft(0.0))) > TOL.grid_vanish:
             raise ScenarioError("xi_axis variant needs a zero-mean base density")
         measure = construct_cross_diagonal_witness(1, [f0, -f0])
@@ -462,15 +478,13 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
-    c = float(p["c"])
-    gap, width = float(p["gap"]), float(p["lobe_width"])
-    profile = _density_or(
-        p, "profile", lambda: standard_witness_profile(c, gap=gap, width=width)
+    c, quad_tol = p["c"], p["quad_tol"]
+    profile = _or(
+        p["profile"],
+        lambda: standard_witness_profile(c, gap=p["gap"], width=p["lobe_width"]),
     )
     witness = construct_single_line_witness(c, profile)
-    quad_tol = float(p["quad_tol"])
-    xs = _grid(p["x_min"], p["x_max"], p["x_step"])
-    d = float(p["d"])
+    (xs,) = _grids(p, "x")
     on_max = 0.0
     off_max = 0.0
     est_max = 0.0
@@ -478,7 +492,7 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
         res = exp_curve_ft(witness, x, c * x, abs_tol=quad_tol)
         on_max = max(on_max, abs(res.value))
         est_max = max(est_max, res.error)
-        off = exp_curve_ft(witness, x, c * x + d, abs_tol=quad_tol)
+        off = exp_curve_ft(witness, x, c * x + p["d"], abs_tol=quad_tol)
         off_max = max(off_max, abs(off.value))
     g_mass = absolute_mass(witness).value.real
     extent = max(
@@ -498,49 +512,39 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
-    case = str(p["case"])
-    quad_tol = float(p["quad_tol"])
-    extent = float(p["extent"])
-    points = int(p["points"])
+    case, points = p["case"], p["points"]
     if points < 2:
         raise ScenarioError("surface grid needs at least 2 points per side")
-    h_density = _density_or(p, "h_density", triangle)
+    _capped(points * points, "points")
+    h_density = _or(p["h_density"], triangle)
     if h_density.is_zero():
         raise DegenerateWitnessError("surface factor h_density is zero")
     second = CurveDensity.from_density(h_density)
-    axis_vals = np.linspace(-extent, extent, points)
+    axis_vals = np.linspace(-p["extent"], p["extent"], points)
     if case == "axis":
-        psi = _density_or(
-            p, "psi_density", lambda: odd_pair(triangle(center=1.0, width=0.8))
-        )
+        psi = _or(p["psi_density"], lambda: odd_pair(triangle(center=1.0, width=0.8)))
         if psi.is_zero():
             raise DegenerateWitnessError("surface factor psi_density is zero")
         first = CurveDensity.from_density(psi)
         freqs = [(0.0, u, v) for u in axis_vals for v in axis_vals]
     elif case == "slant":
-        c = float(p["c"])
-        profile = _density_or(p, "profile", lambda: standard_witness_profile(c))
+        c = p["c"]
+        profile = _or(p["profile"], lambda: standard_witness_profile(c))
         first = construct_single_line_witness(c, profile)
         freqs = [(u, v, c * u) for u in axis_vals for v in axis_vals]
     else:
         raise ScenarioError(f"unknown surface case {case!r}")
     worst = 0.0
     for freq in freqs:
-        worst = max(worst, abs(surface_ft(first, second, freq, abs_tol=quad_tol).value))
+        ft = surface_ft(first, second, freq, abs_tol=p["quad_tol"])
+        worst = max(worst, abs(ft.value))
     checks = [_check("hyperplane_max", worst, "<=", p["tolerance"])]
     return [], checks
 
 
 def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
-    pts = p["points"]
-    if not isinstance(pts, list) or not all(
-        isinstance(q, list) and len(q) == 2 for q in pts
-    ):
-        raise ScenarioError("points must be a JSON list of [xi, eta] pairs")
-    n = int(p["n"])
-    pp = int(p["p"])
-    lam = fold_periodic(LambdaSet(tuple((float(a), float(b)) for a, b in pts)))
-    part = partition(lam, n, pp, discriminant_tol=float(p["tolerance"]))
+    lam = fold_periodic(LambdaSet(tuple(p["points"])))
+    part = partition(lam, p["n"], p["p"], discriminant_tol=p["tolerance"])
     infos = []
     for xi in sorted(part.fibers):
         infos.append(
@@ -552,49 +556,26 @@ def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
         "class_counts " + json.dumps({str(k): v for k, v in sorted(counts.items())})
     )
     checks = [_check("fibers_classified", len(part.fibers), ">=", 1.0)]
-    if p["expected_counts"] is not None:
-        expected = p["expected_counts"]
-        for key in sorted(expected):
-            cls = int(key)
-            checks.append(
-                _check(
-                    f"count_class_{cls}",
-                    float(counts.get(cls, 0)),
-                    "==",
-                    float(expected[key]),
-                )
-            )
+    for cls, count in _or(p["expected_counts"], dict).items():
+        checks.append(_check(f"count_class_{cls}", counts.get(cls, 0), "==", count))
     return infos, checks
 
 
-def _etas(p: dict) -> list[float]:
-    etas = p["etas"]
-    if not isinstance(etas, list):
-        raise ScenarioError("etas must be a JSON list")
-    return [float(e) for e in etas]
-
-
 def _run_discriminant(p: dict) -> tuple[list[str], list[Check]]:
-    value = hup_discriminant(_etas(p), int(p["n"]), int(p["p"]))
+    value = hup_discriminant(p["etas"], p["n"], p["p"])
     checks = [_check("discriminant", value, ">=", 0.0)]
     if p["min_value"] is not None:
-        checks.append(_check("discriminant_min", value, ">=", float(p["min_value"])))
+        checks.append(_check("discriminant_min", value, ">=", p["min_value"]))
     if p["expect"] is not None:
         checks.append(
-            _check(
-                "matches_expected",
-                abs(value - float(p["expect"])),
-                "<=",
-                float(p["tolerance"]),
-            )
+            _check("matches_expected", abs(value - p["expect"]), "<=", p["tolerance"])
         )
     return [], checks
 
 
 def _run_reduce(p: dict) -> tuple[list[str], list[Check]]:
-    n = int(p["n"])
-    pp = int(p["p"])
-    betas = UnimodularTuple.from_phases(_etas(p))
+    n, pp = p["n"], p["p"]
+    betas = UnimodularTuple.from_phases(p["etas"])
     reduction = triangularize_power_system(betas, n, pp)
     det = complex(np.linalg.det(power_column_matrix(betas, n, pp)))
     pivot_product = reduction.pivot_product()
@@ -617,35 +598,30 @@ def _grid_rows(p: dict):
     magnitudes.  The lambda heights are the scenario's, or the witness grid
     for consecutive witnesses, and may be None.
     """
-    measure_kind = str(p["measure"])
+    measure_kind, densities = p["measure"], p["densities"]
     heights = p["lambda_heights"]
     if measure_kind == "line":
-        if p["heights"] is None or p["densities"] is None:
+        if p["heights"] is None or densities is None:
             raise ScenarioError("line grids need 'heights' and 'densities'")
-        measure = LineMeasure(
-            tuple(float(h) for h in p["heights"]),
-            tuple(_densities_from_json(p["densities"])),
-        )
+        measure = LineMeasure(tuple(p["heights"]), tuple(densities))
         transform = line_system_ft
     elif measure_kind == "cross":
-        if p["densities"] is None:
+        if densities is None:
             raise ScenarioError("cross grids need 'densities'")
-        densities = _densities_from_json(p["densities"])
         measure = construct_cross_diagonal_witness(len(densities) - 1, densities)
         transform = cross_ft
     elif measure_kind == "consecutive_witness":
         if p["n"] is None:
             raise ScenarioError("consecutive_witness grids need 'n'")
         measure, lam = construct_consecutive_witness(
-            int(p["n"]), _density_or(p, "seed_density", gaussian)
+            p["n"], _or(p["seed_density"], gaussian)
         )
         if heights is None:
             heights = list(lam)
         transform = line_system_ft
     else:
         raise ScenarioError(f"unknown grid measure {measure_kind!r}")
-    xi = _grid(p["xi_min"], p["xi_max"], p["xi_step"])
-    eta = _grid(p["eta_min"], p["eta_max"], p["eta_step"])
+    xi, eta = _grids(p, "xi", "eta")
     # one call per xi: a single 2-D call rounds some values differently
     return xi, eta, heights, (_row(transform(measure, float(x), eta)) for x in xi)
 
@@ -662,7 +638,7 @@ def _row(values) -> tuple[list[complex], list[float]]:
 
 def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
     xi, eta, lambda_heights, rows = _grid_rows(p)
-    heights = [float(h) for h in lambda_heights] if lambda_heights else []
+    heights = lambda_heights or []
     on_lambda = [
         j for j, e in enumerate(eta) if any(abs(e - h) <= TOL.merge for h in heights)
     ]
@@ -681,8 +657,9 @@ def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_kronecker_check(p: dict) -> tuple[list[str], list[Check]]:
+    samples = _capped(p["sample_count"], "sample_count")
     residual = translation_periodicity_residual(
-        _density_or(p, "density", gaussian), float(p["alpha"]), int(p["sample_count"])
+        _or(p["density"], gaussian), p["alpha"], samples
     )
     checks = [_check("nonperiodicity_residual", residual, ">=", p["tolerance"])]
     return [], checks
@@ -703,9 +680,8 @@ _RUNNERS = {
 
 def run_scenario(scenario: Scenario, *, tolerance: float | None = None) -> Report:
     """Evaluate a scenario and return its report (no printing)."""
-    params = _resolve(scenario, tolerance)
-    infos, checks = _RUNNERS[scenario.kind](params)
-    return Report(scenario.kind, params, infos, checks)
+    given, values = _resolve(scenario, tolerance)
+    return Report(scenario.kind, given, *_RUNNERS[scenario.kind](values))
 
 
 def emit_grid(scenario: Scenario, out_path: str) -> int:
@@ -716,7 +692,7 @@ def emit_grid(scenario: Scenario, out_path: str) -> int:
     """
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
-    xi, eta, _, rows = _grid_rows(_resolve(scenario))
+    xi, eta, _, rows = _grid_rows(_resolve(scenario)[1])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("xi,eta,re,im,abs\n")
         for x, (vals, mags) in zip(xi.tolist(), rows):

@@ -1,4 +1,4 @@
-"""Central tolerance constants, quadrature policy and the subset cap.
+"""Central tolerance constants, quadrature policy and the size caps.
 
 Every numeric threshold used by the library lives here so that tests,
 the CLI, and the acceptance suite all read the same numbers.
@@ -43,3 +43,7 @@ PHASE_PER_PANEL = math.pi / 4.0
 # Classification search is refused beyond this many (n+2)-subsets of a fiber,
 # each costing one h evaluation.
 SUBSET_CAP = 100_000
+
+# A scenario grid (an axis, a surface, a sample set or an xi x eta table) of
+# more points than this is refused before anything is allocated.
+GRID_CAP = 10_000_000

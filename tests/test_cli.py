@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hup_lab
+from hup_lab import cli
 from hup_lab.cli import (
     Scenario,
     ScenarioError,
@@ -223,9 +224,29 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
          "tolerance"),
         ("kind = classify\npoints = [[0, 0.5]]\nn = 1\np = 3\nexpected_counts = [1]\n",
          "expected_counts"),
+        # elements are checked at any depth
+        ("kind = discriminant\netas = [[0.0], 0.5, 1.5]\nn = 1\np = 3\n", "etas"),
+        ('kind = kronecker_check\nalpha = 1.5\ndensity = [{"center": [1]}]\n',
+         "density"),
+        # whole-number keys refuse fractions and booleans rather than truncate
+        ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1.9\np = 3.7\n", "n"),
+        ("kind = surface_witness\npoints = 3.9\n", "points"),
+        ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = true\np = 3\n", "n"),
+        # only null selects the default odd bump; [] has no base density
+        ("kind = cross_witness\nvariant = xi_axis\ndensities = []\n", "densities"),
+        # grids beyond GRID_CAP points are refused before any allocation
+        ("kind = consecutive_witness\nn = 1\nxi_step = 1e-300\n", "xi_step"),
+        ("kind = consecutive_witness\nn = 1\nxi_min = -1e308\nxi_max = 1e308\n",
+         "xi_step"),
+        ("kind = cross_witness\ngrid_points = 100000000000000000000\n", "grid_points"),
+        ("kind = surface_witness\npoints = 100000000000000000000\n", "points"),
+        ("kind = kronecker_check\nalpha = 1.5\nsample_count = 1e20\n", "sample_count"),
     ],
     ids=["number_for_list", "list_for_number", "object_for_number", "null_for_number",
-         "list_for_object"],
+         "list_for_object", "list_in_number_list", "list_in_atom", "fraction_for_whole",
+         "fraction_for_points", "bool_for_whole", "empty_xi_axis_densities",
+         "tiny_step", "overflowing_span", "huge_grid_points", "huge_surface",
+         "huge_sample_count"],
 )
 def test_mistyped_values_are_refused(tmp_path, capsys, text, key):
     path = write(tmp_path, "t.scenario", text)
@@ -233,6 +254,20 @@ def test_mistyped_values_are_refused(tmp_path, capsys, text, key):
         run_scenario(load_scenario(path))
     assert main(["run", path]) == 2
     assert "overall" not in capsys.readouterr().out
+
+
+def test_grid_cap_counts_each_axis_and_their_product(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "GRID_CAP", 25)
+    # FAST_GRID has 5 xi by 5 eta points: exactly at the cap
+    assert main(["grid", write(tmp_path, "g.scenario", FAST_GRID),
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    wider = FAST_GRID.replace("eta_step = 0.5", "eta_step = 0.4")  # 5 x 6 points
+    with pytest.raises(ScenarioError, match="^xi_step and eta_step must be"):
+        run_scenario(parse_scenario_text(wider))
+    line = "kind = consecutive_witness\nn = 1\nxi_min = 0\nxi_step = 1\nxi_max = "
+    assert run_scenario(parse_scenario_text(line + "24\n")).overall  # 25 points
+    with pytest.raises(ScenarioError, match="^xi_step must be"):
+        run_scenario(parse_scenario_text(line + "25\n"))
 
 
 def test_quadrature_short_of_its_tolerance_is_refused(tmp_path, capsys):
