@@ -41,7 +41,6 @@ from .errors import (
     IllConditionedError,
     NonpositiveMinimumError,
     OscillationBudgetError,
-    SubsetCapError,
     WitnessConstructionError,
 )
 from .linsys import (
@@ -102,7 +101,6 @@ __all__ = [
     "PowerSystem",
     "QuadResult",
     "Reduction",
-    "SubsetCapError",
     "TOL",
     "Tolerances",
     "UnimodularTuple",

@@ -7,34 +7,36 @@ integers, the set is first folded into ``eta in [0, 2)``.  Points sharing
 by how much of the power system its phases can pin down:
 
 * ``m`` distinct phases with ``m <= n``          -> class ``m``
-* at least ``n + 1`` phases, but every way of choosing ``n + 2`` of them
-  leaves the deciding h-difference at zero        -> class ``n + 1``
-* some choice of ``n + 2`` phases has a nonzero
-  h-difference (see :func:`hup_lab.linsys.hup_discriminant`) -> class ``n + 2``
+* at least ``n + 1`` phases on which ``z^p`` agrees with a polynomial of
+  degree at most ``n``                             -> class ``n + 1``
+* otherwise                                        -> class ``n + 2``
 
 A fiber with at least ``p + 1`` distinct phases is class ``n + 2`` outright:
 each value of ``a^p`` is shared by at most ``p - n`` suitable nodes, so a
 discriminating choice always exists.
 
-For an ``(n + 2)``-subset ``S = P + {x, y}`` the difference identity
-``h_k(P, x) - h_k(P, y) = (x - y) * h_{k-1}(S)`` shows that which pair is
-set apart only scales the h-difference by ``|x - y|``.  The search
-therefore costs one ``h_{p-n-1}(S)`` per subset, weighed by the subset's
-largest pairwise gap.  It honours a cap on the number of subsets
-evaluated and refuses loudly beyond it.
+The ``(n + 1)``-th divided difference of ``z^p`` over ``n + 2`` nodes ``S``
+is ``h_{p-n-1}(S)``, so ``z^p`` is a polynomial of degree at most ``n`` on
+the fiber exactly when that value vanishes for ``S = P + {x}``, with ``P``
+the first ``n + 1`` sorted phases and ``x`` each remaining one in turn: one
+h evaluation per remaining phase.  By the difference identity
+``h_k(R, a) - h_k(R, b) = (a - b) * h_{k-1}(S)`` for ``S = R + {a, b}``,
+that value weighed by the largest pairwise gap of ``S`` is the widest
+h-difference over the ways of setting one pair of ``S`` apart (see
+:func:`hup_lab.linsys.hup_discriminant`); it is this product that is
+compared with the tolerance.  Near the tolerance the test is one-sided;
+see :func:`classify_fiber`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .config import SUBSET_CAP, TOL
-from .errors import SubsetCapError
-from .sympoly import complete_homogeneous
+from .config import TOL
+from .sympoly import UnimodularTuple, complete_homogeneous
 
 __all__ = [
     "LambdaSet",
@@ -55,6 +57,8 @@ class LambdaSet:
 
     def __post_init__(self):
         pts = tuple((float(x), float(e)) for x, e in self.points)
+        if not all(math.isfinite(c) for pt in pts for c in pt):
+            raise ValueError("points must have finite coordinates")
         object.__setattr__(self, "points", pts)
 
 
@@ -119,16 +123,17 @@ def classify_fiber(
     p: int,
     *,
     discriminant_tol: float = TOL.discriminant,
-    cap: int = SUBSET_CAP,
 ) -> int:
     """Class index in ``1..n+2`` of one fiber's phase set.
 
-    ``etas`` are assumed distinct (use :func:`fold_periodic` first).  The
-    top class is decided existentially: any ``(n + 2)``-subset ``S`` with
-    ``max |a - b| * |h_{p-n-1}(S)|`` above ``discriminant_tol`` settles
-    it, that product being the largest h-difference over the ways of
-    setting one pair of ``S`` apart.  Raises ``SubsetCapError`` if that
-    search would evaluate more than ``cap`` subsets.
+    ``etas`` are assumed distinct (use :func:`fold_periodic` first) and
+    must be finite.  With ``P`` the first ``n + 1`` sorted phases, the
+    fiber is class ``n + 2`` as soon as some other phase ``x`` gives
+    ``S = P + {x}`` with ``max |a - b| * |h_{p-n-1}(S)|`` above
+    ``discriminant_tol``, and class ``n + 1`` otherwise.  Only these
+    ``(n + 2)``-subsets are weighed, so near the tolerance a fiber that some
+    other subset would push just over it can come out class ``n + 1``;
+    a fiber every subset keeps under it is never class ``n + 2``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -137,18 +142,17 @@ def classify_fiber(
     etas = tuple(float(e) for e in etas)
     if not etas:
         raise ValueError("fiber is empty")
+    if not all(math.isfinite(e) for e in etas):
+        raise ValueError("fiber phases must be finite")
     m = len(etas)
     if m <= n:
         return m
     if m >= p + 1:
         return n + 2
-    points = tuple(cmath.exp(1j * math.pi * e) for e in etas)
-    degree = p - n - 1
-    for evaluated, subset in enumerate(combinations(points, n + 2), start=1):
-        if evaluated > cap:
-            raise SubsetCapError(
-                f"classification needs more than {cap} (n+2)-subset evaluations"
-            )
+    nodes = UnimodularTuple.from_phases(sorted(etas)).values
+    base, degree = nodes[: n + 1], p - n - 1
+    for x in nodes[n + 1 :]:
+        subset = base + (x,)
         gap = max(abs(a - b) for a, b in combinations(subset, 2))
         if gap * abs(complete_homogeneous(degree, subset)) > discriminant_tol:
             return n + 2

@@ -1,4 +1,4 @@
-"""Central tolerance constants, quadrature policy and the size caps.
+"""Central tolerance constants, quadrature policy and the grid size cap.
 
 Every numeric threshold used by the library lives here so that tests,
 the CLI, and the acceptance suite all read the same numbers.
@@ -39,10 +39,6 @@ TOL = Tolerances()
 SUPPORT_RADIUS = 2.5
 OSC_BUDGET = 20.0 * math.exp(SUPPORT_RADIUS**2)
 PHASE_PER_PANEL = math.pi / 4.0
-
-# Classification search is refused beyond this many (n+2)-subsets of a fiber,
-# each costing one h evaluation.
-SUBSET_CAP = 100_000
 
 # A scenario grid (an axis, a surface, a sample set or an xi x eta table) of
 # more points than this is refused before anything is allocated.

@@ -32,10 +32,6 @@ class OscillationBudgetError(HupLabError):
     allows; refusing is preferred over returning an untrusted number."""
 
 
-class SubsetCapError(HupLabError):
-    """Classification would evaluate more (n+2)-subsets than the cap."""
-
-
 class WitnessConstructionError(HupLabError, ValueError):
     """A witness construction precondition failed."""
 

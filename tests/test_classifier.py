@@ -1,12 +1,10 @@
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
 
 from hup_lab import (
     LambdaSet,
-    SubsetCapError,
     classify_fiber,
     complete_homogeneous,
     construct_consecutive_witness,
@@ -76,6 +74,15 @@ def test_fold_is_idempotent():
     assert once.points == twice.points
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_lambda_set_refuses_nonfinite_coordinates(bad):
+    # folding would sort the finite neighbour of a NaN point out of the set
+    with pytest.raises(ValueError, match="finite"):
+        LambdaSet(((0.0, bad), (0.0, 0.5), (bad, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        LambdaSet(((bad, 0.5),))
+
+
 def test_fiber_extraction():
     lam = fold_periodic(LambdaSet(((0.0, 0.0), (0.0, 4.0 / 3.0), (0.0, 2.0 / 3.0))))
     assert fiber(lam, 0.0) == (0.0, pytest.approx(2.0 / 3.0), pytest.approx(4.0 / 3.0))
@@ -109,22 +116,24 @@ def test_classify_validates_inputs():
         classify_fiber((0.1,), -1, 3)
 
 
-def test_classify_cap_is_enforced():
-    # m=5 sits strictly between n and p+1, so the subset search must run;
-    # a zero cap trips on the first arrangement regardless of its value
-    etas = tuple(i / 5.0 for i in range(5))
-    with pytest.raises(SubsetCapError):
-        classify_fiber(etas, 2, 6, cap=0)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_classify_refuses_nonfinite_phases(bad):
+    # checked before the cardinality shortcuts, which would class the fiber
+    # from its size alone
+    for etas, n, p in (((0.0, bad, 1.0), 1, 3), ((0.0, 0.5, bad), 1, 3), ((bad,), 2, 3)):
+        with pytest.raises(ValueError, match="finite"):
+            classify_fiber(etas, n, p)
 
 
-def test_classify_cap_counts_subsets():
-    # a class-(n+1) fiber evaluates every (n+2)-subset exactly once
-    n, p = 2, 8
-    etas = roots_of_unity(p)
-    subsets = comb(len(etas), n + 2)
-    with pytest.raises(SubsetCapError):
-        classify_fiber(etas, n, p, cap=subsets - 1)
-    assert classify_fiber(etas, n, p, cap=subsets) == n + 1
+def test_classify_large_full_roots_fibers():
+    # C(20, 8) and C(30, 10) (n+2)-subsets, but one h per phase outside P
+    # decides each fiber
+    for n, p in ((6, 20), (8, 30)):
+        roots = roots_of_unity(p)
+        assert classify_fiber(roots, n, p) == n + 1
+        moved = list(roots)
+        moved[7] += 1e-4
+        assert classify_fiber(tuple(moved), n, p) == n + 2
 
 
 def test_classify_permutation_invariant():
