@@ -83,6 +83,18 @@ def _cluster_xis(xs: Sequence[float]) -> list[list[int]]:
     return groups
 
 
+def _merged(etas: Sequence[float]) -> list[float]:
+    """Sorted folded ``etas`` less each one within ``TOL.merge`` of the last
+    kept, the top of the period wrapping onto the bottom point."""
+    dedup: list[float] = []
+    for e in sorted(etas):
+        if not dedup or e - dedup[-1] > TOL.merge:
+            dedup.append(e)
+    if len(dedup) > 1 and (dedup[0] + 2.0) - dedup[-1] <= TOL.merge:
+        dedup.pop()
+    return dedup
+
+
 def fold_periodic(lam: LambdaSet) -> LambdaSet:
     """Reduce eta mod 2 into [0, 2) and merge coordinate-wise duplicates.
 
@@ -97,14 +109,7 @@ def fold_periodic(lam: LambdaSet) -> LambdaSet:
     xs = [p[0] for p in pts]
     for group in _cluster_xis(xs):
         rep_xi = pts[group[0]][0]
-        etas = sorted(pts[i][1] for i in group)
-        dedup: list[float] = []
-        for e in etas:
-            if not dedup or e - dedup[-1] > TOL.merge:
-                dedup.append(e)
-        if len(dedup) > 1 and (dedup[0] + 2.0) - dedup[-1] <= TOL.merge:
-            dedup.pop()  # top of the period wraps onto the bottom point
-        kept.extend((rep_xi, e) for e in dedup)
+        kept.extend((rep_xi, e) for e in _merged([pts[i][1] for i in group]))
     kept.sort()
     return LambdaSet(tuple(kept), folded=True)
 
@@ -126,14 +131,15 @@ def classify_fiber(
 ) -> int:
     """Class index in ``1..n+2`` of one fiber's phase set.
 
-    ``etas`` are assumed distinct (use :func:`fold_periodic` first) and
-    must be finite.  With ``P`` the first ``n + 1`` sorted phases, the
-    fiber is class ``n + 2`` as soon as some other phase ``x`` gives
-    ``S = P + {x}`` with ``max |a - b| * |h_{p-n-1}(S)|`` above
-    ``discriminant_tol``, and class ``n + 1`` otherwise.  Only these
-    ``(n + 2)``-subsets are weighed, so near the tolerance a fiber that some
-    other subset would push just over it can come out class ``n + 1``;
-    a fiber every subset keeps under it is never class ``n + 2``.
+    ``etas`` must be finite and distinct mod 2 by more than ``TOL.merge``,
+    as :func:`fold_periodic` leaves them; repeated phases are refused.
+    With ``P`` the first ``n + 1`` sorted phases, the fiber is class
+    ``n + 2`` as soon as some other phase ``x`` gives ``S = P + {x}`` with
+    ``max |a - b| * |h_{p-n-1}(S)|`` above ``discriminant_tol``, and class
+    ``n + 1`` otherwise.  Only these ``(n + 2)``-subsets are weighed, so
+    near the tolerance a fiber that some other subset would push just over
+    it can come out class ``n + 1``; a fiber every subset keeps under it is
+    never class ``n + 2``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -145,6 +151,8 @@ def classify_fiber(
     if not all(math.isfinite(e) for e in etas):
         raise ValueError("fiber phases must be finite")
     m = len(etas)
+    if len(_merged([_fold_eta(e) for e in etas])) < m:
+        raise ValueError("fiber phases must be distinct mod 2")
     if m <= n:
         return m
     if m >= p + 1:

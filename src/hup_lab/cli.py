@@ -199,7 +199,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "xi_min": (_real, -10.0),
         "xi_max": (_real, 10.0),
         "xi_step": (_real, 0.02),
-        "off_min": (_real, 1e-3),
         "tolerance": (_real, TOL.grid_vanish),
     },
     "cross_witness": {
@@ -207,30 +206,21 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "variant": (_word, "diagonal"),
         "densities": (_densities, None),
         "grid_points": (_whole, 1001),
-        "grid_min": (_real, -10.0),
-        "grid_max": (_real, 10.0),
-        "off_min": (_real, 1e-3),
         "tolerance": (_real, TOL.grid_vanish),
         "seed": (_whole, 0),
     },
     "exp_curve_witness": {
         "c": (_real, _REQUIRED),
-        "gap": (_real, 0.2),
-        "lobe_width": (_real, 0.5),
-        "profile": (_density, None),
         "d": (_real, 1.0),
         "x_min": (_real, -5.0),
         "x_max": (_real, 5.0),
         "x_step": (_real, 0.02),
         "quad_tol": (_real, TOL.quad_abs),
-        "mass_ratio_min": (_real, 0.1),
-        "off_min": (_real, 1e-3),
         "tolerance": (_real, TOL.curve_vanish),
     },
     "surface_witness": {
         "case": (_word, "axis"),
         "c": (_real, 1.0),
-        "extent": (_real, 3.0),
         "points": (_whole, 21),
         "psi_density": (_density, None),
         "h_density": (_density, None),
@@ -250,7 +240,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "n": (_whole, _REQUIRED),
         "p": (_whole, _REQUIRED),
         "expect": (_real, None),
-        "min_value": (_real, None),
         "tolerance": (_real, TOL.discriminant),
     },
     "reduce": {
@@ -412,6 +401,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+# Floors a witness must clear off its set and, on the curve, in absolute mass
+# against its profile, so that a zero or vanishing witness fails.
+_OFF_SET_FLOOR = 1e-3
+_MASS_RATIO_FLOOR = 0.1
+
+
 def _random_densities(n: int, rng: np.random.Generator) -> list[Density]:
     out = []
     for _ in range(n + 1):
@@ -443,16 +438,14 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
     infos = ["lambda_heights " + json.dumps(list(lam))]
     checks = [
         _check("on_lambda_max", on_max, "<=", p["tolerance"]),
-        _check("off_lambda_max", off_max, ">=", p["off_min"]),
+        _check("off_lambda_max", off_max, ">=", _OFF_SET_FLOOR),
     ]
     return infos, checks
 
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
     variant, densities = p["variant"], p["densities"]
-    t = np.linspace(
-        p["grid_min"], p["grid_max"], _capped(p["grid_points"], "grid_points")
-    )
+    t = np.linspace(-10.0, 10.0, _capped(p["grid_points"], "grid_points"))
     if variant == "diagonal":
         if densities is None:
             densities = _random_densities(p["n"], np.random.default_rng(p["seed"]))
@@ -472,17 +465,14 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
     off = float(np.max(np.abs(cross_ft(measure, t, off_eta))))
     checks = [
         _check(names[0], vanish, "<=", p["tolerance"]),
-        _check(names[1], off, ">=", p["off_min"]),
+        _check(names[1], off, ">=", _OFF_SET_FLOOR),
     ]
     return [], checks
 
 
 def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     c, quad_tol = p["c"], p["quad_tol"]
-    profile = _or(
-        p["profile"],
-        lambda: standard_witness_profile(c, gap=p["gap"], width=p["lobe_width"]),
-    )
+    profile = standard_witness_profile(c)
     witness = construct_single_line_witness(c, profile)
     (xs,) = _grids(p, "x")
     on_max = 0.0
@@ -495,9 +485,7 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
         off = exp_curve_ft(witness, x, c * x + p["d"], abs_tol=quad_tol)
         off_max = max(off_max, abs(off.value))
     g_mass = absolute_mass(witness).value.real
-    extent = max(
-        max(abs(lo), abs(hi)) for lo, hi in profile.support_intervals()
-    )
+    extent = max(max(abs(lo), abs(hi)) for lo, hi in profile.support_intervals())
     phi_mass = absolute_mass(
         CurveDensity.from_density(profile, support_radius=extent)
     ).value.real
@@ -505,8 +493,8 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     infos = [f"quad_error_max {est_max:.17g}"]
     checks = [
         _check("on_line_max", on_max, "<=", p["tolerance"]),
-        _check("mass_ratio", ratio, ">=", p["mass_ratio_min"]),
-        _check("off_line_max", off_max, ">=", p["off_min"]),
+        _check("mass_ratio", ratio, ">=", _MASS_RATIO_FLOOR),
+        _check("off_line_max", off_max, ">=", _OFF_SET_FLOOR),
     ]
     return infos, checks
 
@@ -520,7 +508,7 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
     if h_density.is_zero():
         raise DegenerateWitnessError("surface factor h_density is zero")
     second = CurveDensity.from_density(h_density)
-    axis_vals = np.linspace(-p["extent"], p["extent"], points)
+    axis_vals = np.linspace(-3.0, 3.0, points)
     if case == "axis":
         psi = _or(p["psi_density"], lambda: odd_pair(triangle(center=1.0, width=0.8)))
         if psi.is_zero():
@@ -564,8 +552,6 @@ def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
 def _run_discriminant(p: dict) -> tuple[list[str], list[Check]]:
     value = hup_discriminant(p["etas"], p["n"], p["p"])
     checks = [_check("discriminant", value, ">=", 0.0)]
-    if p["min_value"] is not None:
-        checks.append(_check("discriminant_min", value, ">=", p["min_value"]))
     if p["expect"] is not None:
         checks.append(
             _check("matches_expected", abs(value - p["expect"]), "<=", p["tolerance"])

@@ -309,42 +309,39 @@ class QuadResult:
     error: float
 
 
-def _panel_sums(fun, a, b, n_panels, order):
-    nodes, weights = _gl(order)
+def _panel_sums(fun, a, b, n_panels):
+    """7- and 15-node Gauss-Legendre sums on ``n_panels`` panels of [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = mid[:, None] + half[:, None] * nodes[None, :]
-    v = fun(t.reshape(-1)).reshape(t.shape)
-    return (v @ weights) * half
+    sums = []
+    for order in (7, 15):
+        nodes, weights = _gl(order)
+        t = mid[:, None] + half[:, None] * nodes[None, :]
+        v = fun(t.reshape(-1)).reshape(t.shape)
+        sums.append((v @ weights) * half)
+    return sums
 
 
-def _chopped(piece: tuple[float, float], max_len: float = 0.5):
-    """Split a piece into short chunks so the local phase-rate bound is tight."""
-    a, b = piece
-    n = max(1, math.ceil((b - a) / max_len))
-    edges = np.linspace(a, b, n + 1)
-    return zip(edges[:-1], edges[1:])
-
-
-def _oscillatory_sum(fun, pieces, x, y, abs_tol):
+def _oscillatory_sum(fun, pieces, rate, abs_tol):
     """Paired Gauss-Legendre sum over ``pieces``, refined until its error
-    estimate is within ``abs_tol``; refuses if four passes do not get there."""
+    estimate is within ``abs_tol``; refuses if four passes do not get there.
+    Chunks of length at most 0.5 get enough panels that a phase turning at
+    ``rate(m)``, ``m`` the chunk's largest ``|t|``, turns by at most
+    ``PHASE_PER_PANEL`` per panel."""
+    chunks = []
+    for lo, hi in pieces:
+        edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 0.5)) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            turn = (b - a) * rate(max(abs(a), abs(b))) / PHASE_PER_PANEL
+            chunks.append((a, b, max(1, math.ceil(turn))))
     for attempt in range(4):
-        factor = 2**attempt
         total = 0j
         err = 0.0
-        for piece in pieces:
-            for a, b in _chopped(piece):
-                m = max(abs(a), abs(b))
-                rate = math.pi * (abs(x) + 2.0 * abs(y) * m * math.exp(m * m))
-                n_panels = factor * max(
-                    1, math.ceil((b - a) * rate / PHASE_PER_PANEL)
-                )
-                coarse = _panel_sums(fun, a, b, n_panels, 7)
-                fine = _panel_sums(fun, a, b, n_panels, 15)
-                total += complex(fine.sum())
-                err += float(np.abs(fine - coarse).sum())
+        for a, b, n_panels in chunks:
+            coarse, fine = _panel_sums(fun, a, b, n_panels * 2**attempt)
+            total += complex(fine.sum())
+            err += float(np.abs(fine - coarse).sum())
         if err <= abs_tol:
             return QuadResult(total, err)
     raise OscillationBudgetError(
@@ -382,7 +379,10 @@ def exp_curve_ft(
         phase = np.exp(-1j * math.pi * (x * t + y * np.exp(t * t)))
         return phase * g.value_at(t)
 
-    return _oscillatory_sum(integrand, pieces, x, y, abs_tol)
+    def rate(m: float) -> float:
+        return math.pi * (abs(x) + 2.0 * abs(y) * m * math.exp(m * m))
+
+    return _oscillatory_sum(integrand, pieces, rate, abs_tol)
 
 
 def absolute_mass(g: CurveDensity) -> QuadResult:
@@ -394,8 +394,8 @@ def absolute_mass(g: CurveDensity) -> QuadResult:
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.abs(g.value_at(t)).astype(complex)
 
-    # x=4 sets a floor of ~16 panels per unit length for the smooth integrand
-    return _oscillatory_sum(integrand, pieces, 4.0, 0.0, TOL.quad_abs)
+    # a rate of 4*pi gives 16 panels per unit length to the smooth integrand
+    return _oscillatory_sum(integrand, pieces, lambda m: 4.0 * math.pi, TOL.quad_abs)
 
 
 def odd_profile(g: CurveDensity, c: float, u):
@@ -429,16 +429,15 @@ def odd_profile(g: CurveDensity, c: float, u):
     return np.array([single(float(v)) for v in arr.reshape(-1)]).reshape(arr.shape)
 
 
-def standard_witness_profile(
-    c: float, *, gap: float = 0.2, width: float = 0.5
-) -> Density:
+def standard_witness_profile(c: float) -> Density:
     """Odd triangle-pair profile clearing the fold of the slope-``c`` phase.
 
-    The positive lobe is a triangle supported on
-    ``[sqrt(h_min) + gap, sqrt(h_min) + gap + 2*width]``.
+    The positive lobe is a triangle of half-width 0.5 supported on
+    ``[sqrt(h_min) + 0.2, sqrt(h_min) + 1.2]``, a gap of 0.2 clear of the
+    fold.
     """
     phase = line_phase(c)
-    return odd_pair(triangle(center=phase.sqrt_min + gap + width, width=width))
+    return odd_pair(triangle(center=phase.sqrt_min + 0.2 + 0.5, width=0.5))
 
 
 def construct_single_line_witness(c: float, phi: Density) -> CurveDensity:

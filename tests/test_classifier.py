@@ -125,6 +125,18 @@ def test_classify_refuses_nonfinite_phases(bad):
             classify_fiber(etas, n, p)
 
 
+@pytest.mark.parametrize(
+    "etas", [(0.0, 0.0, 1.0), (0.0, 2.0, 1.0), (0.0, 2.0 - 1e-12, 1.0)]
+)
+def test_classify_refuses_repeated_phases(etas):
+    # two distinct nodes, which (0.0, 1.0) classes as 2, not the n+2 = 3 that
+    # three distinct ones give; checked before both cardinality shortcuts,
+    # which count phases, not nodes
+    for n, p in ((1, 3), (3, 5), (0, 1)):
+        with pytest.raises(ValueError, match="distinct"):
+            classify_fiber(etas, n, p)
+
+
 def test_classify_large_full_roots_fibers():
     # C(20, 8) and C(30, 10) (n+2)-subsets, but one h per phase outside P
     # decides each fiber

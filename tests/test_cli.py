@@ -84,6 +84,9 @@ def test_unknown_kind_and_keys_are_rejected():
                 {"etas": [0, 0.5, 1.5], "n": 1, "p": 3, "mystery": True},
             )
         )
+    # the off-set floor is fixed, not a scenario key
+    with pytest.raises(ScenarioError, match="off_min"):
+        run_scenario(Scenario("consecutive_witness", {"n": 1, "off_min": 1e-3}))
     # only cross_witness draws random densities, so only it takes a seed
     with pytest.raises(ScenarioError, match="seed"):
         run_scenario(
@@ -168,6 +171,45 @@ def test_precondition_errors_exit_two(tmp_path):
         tmp_path, "zero_alpha.scenario", "kind = kronecker_check\nalpha = 0.0\n"
     )
     assert main(["run", zero_alpha]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("kind = cross_witness\nvariant = vertical\n", "unknown cross_witness variant"),
+        ("kind = surface_witness\ncase = tilted\npoints = 2\n", "unknown surface case"),
+        ("kind = ft_grid\nmeasure = spiral\n", "unknown grid measure"),
+        ("kind = ft_grid\nmeasure = line\ndensities = [[]]\n", "need 'heights'"),
+        ("kind = ft_grid\nmeasure = cross\n", "need 'densities'"),
+        ("kind = ft_grid\nmeasure = consecutive_witness\n", "need 'n'"),
+        ("kind = cross_witness\nvariant = xi_axis\n"
+         'densities = [[{"kind": "gaussian"}]]\n', "zero-mean"),
+        ("kind = surface_witness\npoints = 1\n", "at least 2 points"),
+        ("kind = consecutive_witness\nn = 1\nxi_step = 0\n", "xi grid needs step > 0"),
+        ("kind = consecutive_witness\nn = 1\nxi_min = 1\nxi_max = -1\n",
+         "max >= min"),
+        ("n = 1\n", "missing the 'kind' key"),
+    ],
+    ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
+         "cross_without_densities", "consecutive_without_n", "xi_axis_nonzero_mean",
+         "one_surface_point", "zero_step", "max_below_min", "no_kind"],
+)
+def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
+    assert main(["run", write(tmp_path, "r.scenario", text)]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert cause in captured.err
+
+
+def test_grid_without_lambda_heights_checks_its_size(tmp_path, capsys):
+    text = (
+        "kind = ft_grid\nmeasure = line\nheights = [0.0]\n"
+        'densities = [[{"kind": "gaussian"}]]\n'
+        "xi_min = 0.0\nxi_max = 2.0\nxi_step = 1.0\neta_step = 1.0\n"
+    )
+    assert main(["run", write(tmp_path, "g.scenario", text)]) == 0
+    out = capsys.readouterr().out
+    assert "check grid_evaluated measured=9 threshold=1 op=ge result=PASS" in out
 
 
 NONFINITE_POINTS = """

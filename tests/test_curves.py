@@ -318,3 +318,12 @@ def test_absolute_mass_box():
     g = CurveDensity.from_density(box(center=0.0, width=2.0, amplitude=-1.5))
     res = absolute_mass(g)
     assert res.value.real == pytest.approx(3.0, abs=1e-9)
+
+
+def test_absolute_mass_far_from_the_origin():
+    # the mass integrand does not oscillate, so its panels must not read
+    # exp(t**2), which overflows past |t| ~ 26.6
+    g = CurveDensity.from_density(triangle(center=30.0), support_radius=31.0)
+    res = absolute_mass(g)
+    assert res.value.real == pytest.approx(1.0, abs=1e-9)
+    assert res.error <= 1e-9
