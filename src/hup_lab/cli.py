@@ -120,8 +120,9 @@ def _whole(key: str, value, shape: str = "a whole number") -> int:
     return int(x)
 
 
-def _word(key: str, value, shape: str = "a word") -> str:
-    if not isinstance(value, str):
+def _word(key: str, value, shape: str = "a word", words=None) -> str:
+    """A string, and one of ``words`` when they are given."""
+    if not isinstance(value, str) or (words is not None and value not in words):
         raise ScenarioError(f"{key} must be {shape}")
     return value
 
@@ -184,14 +185,26 @@ def _densities(key: str, value) -> list[Density]:
 
 def _counts(key: str, value) -> dict[int, int]:
     """Class -> expected fiber count, in the sorted order of the class strings."""
-    shape = "a JSON object of whole-number counts by class"
+    shape = "a JSON object of one whole-number count per class"
     if not isinstance(value, dict):
         raise ScenarioError(f"{key} must be {shape}")
-    return {_whole(key, k, shape): _whole(key, value[k], shape) for k in sorted(value)}
+    counts = {_whole(key, k, shape): _whole(key, value[k], shape) for k in sorted(value)}
+    if len(counts) < len(value):  # "3" and "3.0" name one class
+        raise ScenarioError(f"{key} must be {shape}")
+    return counts
+
+
+def _power(key: str, value) -> int:
+    """A whole-number power, at most GRID_CAP: it sizes a table of ``h`` values."""
+    power = _whole(key, value)
+    if power > GRID_CAP:
+        raise ScenarioError(f"{key} must be a whole number of at most {GRID_CAP}")
+    return power
 
 
 # Per kind, each key's converter and default; null selects the default only
-# where the default is null.
+# where the default is null.  A kind listed in _CASES holds here only the
+# keys that all of its cases share.
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "consecutive_witness": {
         "n": (_whole, _REQUIRED),
@@ -202,12 +215,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "tolerance": (_real, TOL.grid_vanish),
     },
     "cross_witness": {
-        "n": (_whole, 0),
-        "variant": (_word, "diagonal"),
-        "densities": (_densities, None),
         "grid_points": (_whole, 1001),
         "tolerance": (_real, TOL.grid_vanish),
-        "seed": (_whole, 0),
     },
     "exp_curve_witness": {
         "c": (_real, _REQUIRED),
@@ -219,41 +228,32 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "tolerance": (_real, TOL.curve_vanish),
     },
     "surface_witness": {
-        "case": (_word, "axis"),
-        "c": (_real, 1.0),
         "points": (_whole, 21),
-        "psi_density": (_density, None),
         "h_density": (_density, None),
-        "profile": (_density, None),
         "quad_tol": (_real, TOL.quad_abs),
         "tolerance": (_real, TOL.curve_vanish),
     },
     "classify": {
         "points": (_pairs, _REQUIRED),
         "n": (_whole, _REQUIRED),
-        "p": (_whole, _REQUIRED),
+        "p": (_power, _REQUIRED),
         "expected_counts": (_counts, None),
         "tolerance": (_real, TOL.discriminant),
     },
     "discriminant": {
         "etas": (_reals, _REQUIRED),
         "n": (_whole, _REQUIRED),
-        "p": (_whole, _REQUIRED),
+        "p": (_power, _REQUIRED),
         "expect": (_real, None),
         "tolerance": (_real, TOL.discriminant),
     },
     "reduce": {
         "etas": (_reals, _REQUIRED),
         "n": (_whole, _REQUIRED),
-        "p": (_whole, _REQUIRED),
+        "p": (_power, _REQUIRED),
         "tolerance": (_real, TOL.pivot_rel),
     },
     "ft_grid": {
-        "measure": (_word, _REQUIRED),
-        "heights": (_reals, None),
-        "densities": (_densities, None),
-        "n": (_whole, None),
-        "seed_density": (_density, None),
         "lambda_heights": (_reals, None),
         "xi_min": (_real, -10.0),
         "xi_max": (_real, 10.0),
@@ -269,6 +269,28 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "sample_count": (_whole, 401),
         "tolerance": (_real, 1e-6),
     },
+}
+
+# Kinds that run one of several constructions: the key that picks the case,
+# its default, and per case the keys it reads besides the shared ones.
+_CASES: dict[str, tuple[str, object, dict[str, dict[str, tuple]]]] = {
+    "cross_witness": ("variant", "diagonal", {
+        "diagonal": {
+            "n": (_whole, 0),
+            "densities": (_densities, None),
+            "seed": (_whole, 0),
+        },
+        "xi_axis": {"density": (_density, None)},  # the base density
+    }),
+    "surface_witness": ("case", "axis", {
+        "axis": {"psi_density": (_density, None)},
+        "slant": {"c": (_real, 1.0), "profile": (_density, None)},
+    }),
+    "ft_grid": ("measure", _REQUIRED, {
+        "line": {"heights": (_reals, _REQUIRED), "densities": (_densities, _REQUIRED)},
+        "cross": {"densities": (_densities, _REQUIRED)},
+        "consecutive_witness": {"n": (_whole, _REQUIRED), "seed_density": (_density, None)},
+    }),
 }
 
 
@@ -302,27 +324,41 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario_text(fh.read())
 
 
+def _value(label: str, given: dict, key: str, convert, default):
+    """``given[key]``, or its default filled in, converted; a required key
+    that is absent is refused."""
+    if key not in given:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{label} requires the {key!r} key")
+        given[key] = default
+    value = given[key]
+    return None if value is None and default is None else convert(key, value)
+
+
 def _resolve(scenario: Scenario, tolerance: float | None = None) -> tuple[dict, dict]:
     """Scenario values over schema defaults and the tolerance override, as
-    given (the report echoes these) and converted (the runners read these)."""
-    schema = _SCHEMAS.get(scenario.kind)
+    given (the report echoes these) and converted (the runners read these).
+
+    A kind with cases takes its case word first; the word picks the schema.
+    """
+    kind, given = scenario.kind, dict(scenario.params)
+    schema = _SCHEMAS.get(kind)
     if schema is None:
         known = ", ".join(sorted(_SCHEMAS))
-        raise ScenarioError(f"unknown kind {scenario.kind!r} (known: {known})")
-    unknown = sorted(set(scenario.params) - set(schema))
-    if unknown:
-        raise ScenarioError(f"unknown keys for {scenario.kind}: {', '.join(unknown)}")
-    given = dict(scenario.params)
+        raise ScenarioError(f"unknown kind {kind!r} (known: {known})")
     if tolerance is not None:
         given["tolerance"] = float(tolerance)
-    values = {}
-    for key, (convert, default) in schema.items():
-        if key not in given:
-            if default is _REQUIRED:
-                raise ScenarioError(f"{scenario.kind} requires the {key!r} key")
-            given[key] = default
-        value = given[key]
-        values[key] = None if value is None and default is None else convert(key, value)
+    label = kind
+    if kind in _CASES:
+        key, default, cases = _CASES[kind]
+        shape = f"one of the {kind} cases: {', '.join(cases)}"
+        word = _value(kind, given, key, lambda k, v: _word(k, v, shape, cases), default)
+        schema = {key: (_word, default), **schema, **cases[word]}
+        label = f"{kind} {key} = {word}"
+    unknown = sorted(set(scenario.params) - set(schema))
+    if unknown:
+        raise ScenarioError(f"unknown keys for {label}: {', '.join(unknown)}")
+    values = {key: _value(label, given, key, *spec) for key, spec in schema.items()}
     return given, values
 
 
@@ -444,23 +480,19 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
-    variant, densities = p["variant"], p["densities"]
     t = np.linspace(-10.0, 10.0, _capped(p["grid_points"], "grid_points"))
-    if variant == "diagonal":
+    if p["variant"] == "diagonal":
+        densities = p["densities"]
         if densities is None:
             densities = _random_densities(p["n"], np.random.default_rng(p["seed"]))
         measure = construct_cross_diagonal_witness(p["n"], densities)
         names, on_eta, off_eta = ("diagonal_max", "off_diagonal_max"), t, t + 1.0
-    elif variant == "xi_axis":
-        if densities == []:
-            raise ScenarioError("densities must be null or start with the base density")
-        f0 = odd_bump() if densities is None else densities[0]
+    elif p["variant"] == "xi_axis":
+        f0 = _or(p["density"], odd_bump)
         if abs(complex(f0.ft(0.0))) > TOL.grid_vanish:
             raise ScenarioError("xi_axis variant needs a zero-mean base density")
         measure = construct_cross_diagonal_witness(1, [f0, -f0])
         names, on_eta, off_eta = ("axis_max", "off_axis_max"), 0.0, 0.5
-    else:
-        raise ScenarioError(f"unknown cross_witness variant {variant!r}")
     vanish = float(np.max(np.abs(cross_ft(measure, t, on_eta))))
     off = float(np.max(np.abs(cross_ft(measure, t, off_eta))))
     checks = [
@@ -500,7 +532,7 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
-    case, points = p["case"], p["points"]
+    points = p["points"]
     if points < 2:
         raise ScenarioError("surface grid needs at least 2 points per side")
     _capped(points * points, "points")
@@ -509,19 +541,17 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
         raise DegenerateWitnessError("surface factor h_density is zero")
     second = CurveDensity.from_density(h_density)
     axis_vals = np.linspace(-3.0, 3.0, points)
-    if case == "axis":
+    if p["case"] == "axis":
         psi = _or(p["psi_density"], lambda: odd_pair(triangle(center=1.0, width=0.8)))
         if psi.is_zero():
             raise DegenerateWitnessError("surface factor psi_density is zero")
         first = CurveDensity.from_density(psi)
         freqs = [(0.0, u, v) for u in axis_vals for v in axis_vals]
-    elif case == "slant":
+    elif p["case"] == "slant":
         c = p["c"]
         profile = _or(p["profile"], lambda: standard_witness_profile(c))
         first = construct_single_line_witness(c, profile)
         freqs = [(u, v, c * u) for u in axis_vals for v in axis_vals]
-    else:
-        raise ScenarioError(f"unknown surface case {case!r}")
     worst = 0.0
     for freq in freqs:
         ft = surface_ft(first, second, freq, abs_tol=p["quad_tol"])
@@ -584,29 +614,21 @@ def _grid_rows(p: dict):
     magnitudes.  The lambda heights are the scenario's, or the witness grid
     for consecutive witnesses, and may be None.
     """
-    measure_kind, densities = p["measure"], p["densities"]
     heights = p["lambda_heights"]
-    if measure_kind == "line":
-        if p["heights"] is None or densities is None:
-            raise ScenarioError("line grids need 'heights' and 'densities'")
-        measure = LineMeasure(tuple(p["heights"]), tuple(densities))
+    if p["measure"] == "line":
+        measure = LineMeasure(tuple(p["heights"]), tuple(p["densities"]))
         transform = line_system_ft
-    elif measure_kind == "cross":
-        if densities is None:
-            raise ScenarioError("cross grids need 'densities'")
+    elif p["measure"] == "cross":
+        densities = p["densities"]
         measure = construct_cross_diagonal_witness(len(densities) - 1, densities)
         transform = cross_ft
-    elif measure_kind == "consecutive_witness":
-        if p["n"] is None:
-            raise ScenarioError("consecutive_witness grids need 'n'")
+    elif p["measure"] == "consecutive_witness":
         measure, lam = construct_consecutive_witness(
             p["n"], _or(p["seed_density"], gaussian)
         )
         if heights is None:
             heights = list(lam)
         transform = line_system_ft
-    else:
-        raise ScenarioError(f"unknown grid measure {measure_kind!r}")
     xi, eta = _grids(p, "xi", "eta")
     # one call per xi: a single 2-D call rounds some values differently
     return xi, eta, heights, (_row(transform(measure, float(x), eta)) for x in xi)

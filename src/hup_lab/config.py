@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["TOL", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

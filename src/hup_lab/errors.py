@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HupLabError",
+    "IllConditionedError",
+    "BelowMinimumError",
+    "NonpositiveMinimumError",
+    "OscillationBudgetError",
+    "WitnessConstructionError",
+    "DegenerateWitnessError",
+]
+
 
 class HupLabError(Exception):
     """Base class for package-specific failures."""

@@ -176,14 +176,24 @@ def test_precondition_errors_exit_two(tmp_path):
 @pytest.mark.parametrize(
     "text, cause",
     [
-        ("kind = cross_witness\nvariant = vertical\n", "unknown cross_witness variant"),
-        ("kind = surface_witness\ncase = tilted\npoints = 2\n", "unknown surface case"),
-        ("kind = ft_grid\nmeasure = spiral\n", "unknown grid measure"),
-        ("kind = ft_grid\nmeasure = line\ndensities = [[]]\n", "need 'heights'"),
-        ("kind = ft_grid\nmeasure = cross\n", "need 'densities'"),
-        ("kind = ft_grid\nmeasure = consecutive_witness\n", "need 'n'"),
+        ("kind = cross_witness\nvariant = vertical\n",
+         "variant must be one of the cross_witness cases: diagonal, xi_axis"),
+        ("kind = surface_witness\ncase = tilted\npoints = 2\n",
+         "case must be one of the surface_witness cases: axis, slant"),
+        ("kind = ft_grid\nmeasure = spiral\n",
+         "measure must be one of the ft_grid cases: line, cross, consecutive_witness"),
+        ("kind = ft_grid\nmeasure = line\ndensities = [[]]\n",
+         "ft_grid measure = line requires the 'heights' key"),
+        ("kind = ft_grid\nmeasure = cross\n",
+         "ft_grid measure = cross requires the 'densities' key"),
+        ("kind = ft_grid\nmeasure = consecutive_witness\n",
+         "ft_grid measure = consecutive_witness requires the 'n' key"),
+        ("kind = ft_grid\n", "ft_grid requires the 'measure' key"),
         ("kind = cross_witness\nvariant = xi_axis\n"
-         'densities = [[{"kind": "gaussian"}]]\n', "zero-mean"),
+         'density = [{"kind": "gaussian"}]\n', "zero-mean"),
+        # only null selects the default odd bump; [] is the zero density
+        ("kind = cross_witness\nvariant = xi_axis\ndensity = []\n",
+         "all cross levels are zero"),
         ("kind = surface_witness\npoints = 1\n", "at least 2 points"),
         ("kind = consecutive_witness\nn = 1\nxi_step = 0\n", "xi grid needs step > 0"),
         ("kind = consecutive_witness\nn = 1\nxi_min = 1\nxi_max = -1\n",
@@ -191,14 +201,92 @@ def test_precondition_errors_exit_two(tmp_path):
         ("n = 1\n", "missing the 'kind' key"),
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
-         "cross_without_densities", "consecutive_without_n", "xi_axis_nonzero_mean",
-         "one_surface_point", "zero_step", "max_below_min", "no_kind"],
+         "cross_without_densities", "consecutive_without_n", "grid_without_measure",
+         "xi_axis_nonzero_mean", "xi_axis_zero_density", "one_surface_point",
+         "zero_step", "max_below_min", "no_kind"],
 )
 def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
     assert main(["run", write(tmp_path, "r.scenario", text)]) == 2
     captured = capsys.readouterr()
     assert "overall" not in captured.out
     assert cause in captured.err
+
+
+SMALL_GRID = "xi_min = 0.0\nxi_max = 1.0\nxi_step = 1.0\neta_step = 1.0\n"
+LINE_GRID = (
+    "kind = ft_grid\nmeasure = line\nheights = [0.0]\n"
+    'densities = [[{"kind": "gaussian"}]]\n' + SMALL_GRID
+)
+CROSS_GRID = 'kind = ft_grid\nmeasure = cross\ndensities = [[{"kind": "gaussian"}]]\n'
+CROSS_GRID += SMALL_GRID
+CONSECUTIVE_GRID = "kind = ft_grid\nmeasure = consecutive_witness\nn = 1\n" + SMALL_GRID
+AXIS = "kind = surface_witness\ncase = axis\npoints = 2\n"
+SLANT = "kind = surface_witness\ncase = slant\npoints = 2\n"
+XI_AXIS = "kind = cross_witness\nvariant = xi_axis\ngrid_points = 11\n"
+
+
+@pytest.mark.parametrize(
+    "text, case, key",
+    [
+        (AXIS + "c = 5.0\n", "surface_witness case = axis", "c"),
+        (AXIS + "profile = []\n", "surface_witness case = axis", "profile"),
+        (SLANT + "psi_density = []\n", "surface_witness case = slant", "psi_density"),
+        (XI_AXIS + "n = 7\n", "cross_witness variant = xi_axis", "n"),
+        (XI_AXIS + "seed = 3\n", "cross_witness variant = xi_axis", "seed"),
+        (XI_AXIS + 'densities = [[{"kind": "odd_bump"}], [{"kind": "gaussian"}]]\n',
+         "cross_witness variant = xi_axis", "densities"),
+        (LINE_GRID + "n = 1\n", "ft_grid measure = line", "n"),
+        (LINE_GRID + "seed_density = []\n", "ft_grid measure = line", "seed_density"),
+        (CROSS_GRID + "heights = [0.0]\n", "ft_grid measure = cross", "heights"),
+        (CONSECUTIVE_GRID + "heights = [0.0]\n", "ft_grid measure = consecutive_witness",
+         "heights"),
+        (CONSECUTIVE_GRID + "densities = [[]]\n",
+         "ft_grid measure = consecutive_witness", "densities"),
+    ],
+    ids=["axis_c", "axis_profile", "slant_psi_density", "xi_axis_n", "xi_axis_seed",
+         "xi_axis_densities", "line_n", "line_seed_density", "cross_heights",
+         "consecutive_heights", "consecutive_densities"],
+)
+def test_keys_of_another_case_are_refused(tmp_path, capsys, text, case, key):
+    # each case has its own schema: a key only another case reads is unknown
+    assert main(["run", write(tmp_path, "k.scenario", text)]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert f"unknown keys for {case}: {key}\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("kind = cross_witness\nvariant = [1]\n", "variant must be one of"),
+        ("kind = surface_witness\ncase = 5\n", "case must be one of"),
+        ("kind = ft_grid\nmeasure = null\n", "measure must be one of"),
+    ],
+    ids=["variant_list", "case_number", "measure_null"],
+)
+def test_mistyped_case_words_are_refused(tmp_path, capsys, text, words):
+    assert main(["run", write(tmp_path, "w.scenario", text)]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert captured.err.startswith(f"error: {words}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = classify\npoints = [[0, 0], [0, 0.5], [0, 1.5]]\nn = 1\n",
+        "kind = discriminant\netas = [0.0, 0.5, 1.5]\nn = 1\n",
+        "kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1\n",
+    ],
+    ids=["classify", "discriminant", "reduce"],
+)
+def test_huge_power_is_refused(tmp_path, capsys, text):
+    # p sizes a table of p + 1 h values, so it is bounded like a grid
+    path = write(tmp_path, "p.scenario", text + "p = 1000000000000000\n")
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert captured.err.startswith("error: p must be a whole number of at most")
 
 
 def test_grid_without_lambda_heights_checks_its_size(tmp_path, capsys):
@@ -274,8 +362,11 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
         ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1.9\np = 3.7\n", "n"),
         ("kind = surface_witness\npoints = 3.9\n", "points"),
         ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = true\np = 3\n", "n"),
-        # only null selects the default odd bump; [] has no base density
-        ("kind = cross_witness\nvariant = xi_axis\ndensities = []\n", "densities"),
+        # xi_axis takes one base density, not a list of them
+        ("kind = cross_witness\nvariant = xi_axis\ndensity = [[]]\n", "density"),
+        # "3" and "3.0" name one class
+        ("kind = classify\npoints = [[0, 0], [0, 0.5], [0, 1.5]]\nn = 1\np = 3\n"
+         'expected_counts = {"3": 1, "3.0": 5}\n', "expected_counts"),
         # grids beyond GRID_CAP points are refused before any allocation
         ("kind = consecutive_witness\nn = 1\nxi_step = 1e-300\n", "xi_step"),
         ("kind = consecutive_witness\nn = 1\nxi_min = -1e308\nxi_max = 1e308\n",
@@ -287,8 +378,8 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
     ids=["number_for_list", "list_for_number", "object_for_number", "null_for_number",
          "list_for_object", "list_in_number_list", "list_in_atom", "fraction_for_whole",
          "fraction_for_points", "bool_for_whole", "empty_xi_axis_densities",
-         "tiny_step", "overflowing_span", "huge_grid_points", "huge_surface",
-         "huge_sample_count"],
+         "class_written_twice", "tiny_step", "overflowing_span", "huge_grid_points",
+         "huge_surface", "huge_sample_count"],
 )
 def test_mistyped_values_are_refused(tmp_path, capsys, text, key):
     path = write(tmp_path, "t.scenario", text)
