@@ -462,9 +462,15 @@ def _random_densities(n: int, rng: np.random.Generator) -> list[Density]:
     return out
 
 
+def _consecutive_witness(p: dict) -> tuple[LineMeasure, tuple[float, ...]]:
+    """The witness's n + 2 lines checked on n + 1 heights, at most GRID_CAP pairs."""
+    _capped((p["n"] + 1) * (p["n"] + 2), "n")
+    return construct_consecutive_witness(p["n"], _or(p["seed_density"], gaussian))
+
+
 def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
     n = p["n"]
-    measure, lam = construct_consecutive_witness(n, _or(p["seed_density"], gaussian))
+    measure, lam = _consecutive_witness(p)
     (xi,) = _grids(p, "xi")
     on_max = max(
         float(np.max(np.abs(line_system_ft(measure, xi, eta)))) for eta in lam
@@ -480,8 +486,12 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
+    if p["grid_points"] < 2:
+        raise ScenarioError("grid_points must be at least 2")
     t = np.linspace(-10.0, 10.0, _capped(p["grid_points"], "grid_points"))
     if p["variant"] == "diagonal":
+        # n + 1 levels on grid_points points, refused before any level is drawn
+        _capped((p["n"] + 1) * p["grid_points"], "n and grid_points")
         densities = p["densities"]
         if densities is None:
             densities = _random_densities(p["n"], np.random.default_rng(p["seed"]))
@@ -620,12 +630,12 @@ def _grid_rows(p: dict):
         transform = line_system_ft
     elif p["measure"] == "cross":
         densities = p["densities"]
+        if not densities:
+            raise ScenarioError("densities must hold at least one density")
         measure = construct_cross_diagonal_witness(len(densities) - 1, densities)
         transform = cross_ft
     elif p["measure"] == "consecutive_witness":
-        measure, lam = construct_consecutive_witness(
-            p["n"], _or(p["seed_density"], gaussian)
-        )
+        measure, lam = _consecutive_witness(p)
         if heights is None:
             heights = list(lam)
         transform = line_system_ft

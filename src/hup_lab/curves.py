@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     OscillationBudgetError,
     WitnessConstructionError,
 )
-from .measures import Density, odd_pair, triangle
+from .measures import Density, _scalar_or_array, odd_pair, triangle
 
 __all__ = [
     "LinePhase",
@@ -53,13 +53,9 @@ __all__ = [
     "absolute_mass",
 ]
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _phase(t: float, c: float) -> float:
@@ -147,13 +143,12 @@ class LinePhase:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.exp(t * t) + t / self.c + 1.0 / (4.0 * self.c * self.c)
-        return float(out) if out.ndim == 0 else out
+        c = self.c
+        return _scalar_or_array(np.exp(t * t) + t / c + 1.0 / (4.0 * c * c))
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        out = 2.0 * t * np.exp(t * t) + 1.0 / self.c
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(2.0 * t * np.exp(t * t) + 1.0 / self.c)
 
     def inverse(self, v: float, branch: str) -> float:
         """Solve ``value(t) = v`` on one side of the minimum.
@@ -242,20 +237,14 @@ class CurveDensity:
 
     def value_at(self, t):
         arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
         if self.mixture is not None:
-            val = np.asarray(self.mixture.value_at(arr), dtype=complex)
+            val = self.mixture.value_at(arr)
         else:
-            v = self.phase.value(arr)
-            u = np.sqrt(v)
-            val = (
-                np.asarray(self.profile.value_at(u), dtype=complex)
-                * self.phase.derivative(arr)
-                / (2.0 * u)
-            )
-        val = np.where(np.abs(arr) <= self.support_radius, val, 0j)
-        return val[0].item() if scalar else val
+            u = np.sqrt(self.phase.value(arr))
+            # numpy's complex division, also for a scalar: Python's rounds differently
+            val = np.asarray(self.profile.value_at(u), dtype=complex)
+            val = val * self.phase.derivative(arr) / (2.0 * u)
+        return _scalar_or_array(np.where(np.abs(arr) <= self.support_radius, val, 0j))
 
     def smooth_pieces(self) -> tuple[tuple[float, float], ...]:
         """Disjoint intervals covering the support, smooth in their interiors."""
@@ -326,9 +315,10 @@ def _panel_sums(fun, a, b, n_panels):
 def _oscillatory_sum(fun, pieces, rate, abs_tol):
     """Paired Gauss-Legendre sum over ``pieces``, refined until its error
     estimate is within ``abs_tol``; refuses if four passes do not get there.
-    Chunks of length at most 0.5 get enough panels that a phase turning at
-    ``rate(m)``, ``m`` the chunk's largest ``|t|``, turns by at most
-    ``PHASE_PER_PANEL`` per panel."""
+    Over no pieces the first pass gives ``QuadResult(0j, 0.0)``, so an empty
+    support needs no case of its own.  Chunks of length at most 0.5 get
+    enough panels that a phase turning at ``rate(m)``, ``m`` the chunk's
+    largest ``|t|``, turns by at most ``PHASE_PER_PANEL`` per panel."""
     chunks = []
     for lo, hi in pieces:
         edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 0.5)) + 1)
@@ -371,9 +361,6 @@ def exp_curve_ft(
             f"|y|*exp(T^2) = {abs(y):.3g}*exp({radius:.3g}^2) exceeds the "
             f"oscillation budget {OSC_BUDGET:.6g}"
         )
-    pieces = g.smooth_pieces()
-    if not pieces:
-        return QuadResult(0j, 0.0)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         phase = np.exp(-1j * math.pi * (x * t + y * np.exp(t * t)))
@@ -382,20 +369,19 @@ def exp_curve_ft(
     def rate(m: float) -> float:
         return math.pi * (abs(x) + 2.0 * abs(y) * m * math.exp(m * m))
 
-    return _oscillatory_sum(integrand, pieces, rate, abs_tol)
+    return _oscillatory_sum(integrand, g.smooth_pieces(), rate, abs_tol)
 
 
 def absolute_mass(g: CurveDensity) -> QuadResult:
     """Integral of ``|g|`` over the support (non-oscillatory panels)."""
-    pieces = g.smooth_pieces()
-    if not pieces:
-        return QuadResult(0j, 0.0)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.abs(g.value_at(t)).astype(complex)
 
     # a rate of 4*pi gives 16 panels per unit length to the smooth integrand
-    return _oscillatory_sum(integrand, pieces, lambda m: 4.0 * math.pi, TOL.quad_abs)
+    return _oscillatory_sum(
+        integrand, g.smooth_pieces(), lambda m: 4.0 * math.pi, TOL.quad_abs
+    )
 
 
 def odd_profile(g: CurveDensity, c: float, u):
@@ -405,7 +391,8 @@ def odd_profile(g: CurveDensity, c: float, u):
     ``t(u)`` inverts ``H(t) = u**2`` on the right branch for ``u > 0`` and
     the left branch for ``u < 0``; inside the fold it is 0.  The transform
     of ``g`` vanishes on the whole line ``y = c*x`` exactly when this
-    profile is an odd function of ``u``.
+    profile is an odd function of ``u``.  A scalar ``u`` gives a Python
+    ``complex``; an array gives a complex array of its shape, empty ones too.
     """
     c = float(c)
     if g.phase is not None and g.phase.c == c:
@@ -421,12 +408,11 @@ def odd_profile(g: CurveDensity, c: float, u):
         d = phase.derivative(t)
         if d == 0:
             return 0j
-        return complex(g.value_at(t)) * (2.0 * uv) / d
+        return g.value_at(t) * (2.0 * uv) / d
 
     arr = np.asarray(u, dtype=float)
-    if arr.ndim == 0:
-        return single(float(arr))
-    return np.array([single(float(v)) for v in arr.reshape(-1)]).reshape(arr.shape)
+    values = [single(v) for v in arr.reshape(-1).tolist()]
+    return _scalar_or_array(np.array(values, dtype=complex).reshape(arr.shape))
 
 
 def standard_witness_profile(c: float) -> Density:

@@ -51,13 +51,14 @@ __all__ = [
 ATOM_KINDS = ("gaussian", "box", "triangle", "odd_bump")
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _scalar_or_array(val):
+    """A 0-d ``val`` as a Python ``float`` or ``complex``; any other as it is.
 
-
-def _maybe_item(val: np.ndarray, scalar: bool):
-    return val[()].item() if scalar else val
+    Every evaluator here and in ``curves`` reads its argument through
+    ``np.asarray(x, dtype=float)`` and returns through this helper.
+    """
+    val = np.asarray(val)
+    return val.item() if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ class DensityAtom:
 
     def value_at(self, x):
         """Pointwise value; accepts scalars or numpy arrays."""
-        arr, scalar = _as_array(x)
-        u = arr - self.center
+        u = np.asarray(x, dtype=float) - self.center
         a = self.amplitude
         w = self.width
         if self.kind == "gaussian":
@@ -103,11 +103,11 @@ class DensityAtom:
             val = a * np.maximum(0.0, 1.0 - np.abs(u) / w)
         else:  # odd_bump
             val = a * u * np.exp(-math.pi * u * u / (w * w))
-        return _maybe_item(np.asarray(val, dtype=complex), scalar)
+        return _scalar_or_array(val)
 
     def ft(self, xi):
         """Closed-form transform under the exp(-i*pi*x*xi) convention."""
-        arr, scalar = _as_array(xi)
+        arr = np.asarray(xi, dtype=float)
         a = self.amplitude
         w = self.width
         shift = np.exp(-1j * math.pi * self.center * arr)
@@ -126,15 +126,12 @@ class DensityAtom:
                 * shift
                 * np.exp(-math.pi * w * w * arr * arr / 4.0)
             )
-        return _maybe_item(np.asarray(val, dtype=complex), scalar)
+        return _scalar_or_array(val)
 
     def support(self) -> tuple[float, float] | None:
-        """Exact support interval, or None for unbounded kinds."""
-        if self.kind == "box":
-            return (self.center - 0.5 * self.width, self.center + 0.5 * self.width)
-        if self.kind == "triangle":
-            return (self.center - self.width, self.center + self.width)
-        return None
+        """Exact support interval, its first and last knots; None without knots."""
+        knots = self.breakpoints()
+        return (knots[0], knots[-1]) if knots else None
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the atom is not smooth (kinks and jumps)."""
@@ -168,18 +165,18 @@ class Density:
         object.__setattr__(self, "atoms", tuple(self.atoms))
 
     def value_at(self, x):
-        arr, scalar = _as_array(x)
+        arr = np.asarray(x, dtype=float)
         total = np.zeros(arr.shape, dtype=complex)
         for atom in self.atoms:
             total += atom.value_at(arr)
-        return _maybe_item(total, scalar)
+        return _scalar_or_array(total)
 
     def ft(self, xi):
-        arr, scalar = _as_array(xi)
+        arr = np.asarray(xi, dtype=float)
         total = np.zeros(arr.shape, dtype=complex)
         for atom in self.atoms:
             total += atom.ft(arr)
-        return _maybe_item(total, scalar)
+        return _scalar_or_array(total)
 
     def is_zero(self) -> bool:
         return all(atom.amplitude == 0 for atom in self.atoms)
@@ -274,12 +271,12 @@ class LineMeasure:
 
 def line_system_ft(measure: LineMeasure, xi, eta):
     """Transform of a line measure: sum of height-modulated 1-D transforms."""
-    xi_arr, xi_scalar = _as_array(xi)
-    eta_arr, eta_scalar = _as_array(eta)
+    xi_arr = np.asarray(xi, dtype=float)
+    eta_arr = np.asarray(eta, dtype=float)
     total = np.zeros(np.broadcast(xi_arr, eta_arr).shape, dtype=complex)
     for h, f in zip(measure.heights, measure.densities):
         total = total + np.exp(-1j * math.pi * h * eta_arr) * f.ft(xi_arr)
-    return _maybe_item(total, xi_scalar and eta_scalar)
+    return _scalar_or_array(total)
 
 
 @dataclass(frozen=True)
@@ -296,15 +293,15 @@ class CrossMeasure:
 
 def cross_ft(measure: CrossMeasure, xi, eta):
     """Transform of a cross measure; antisymmetric in (xi, eta)."""
-    xi_arr, xi_scalar = _as_array(xi)
-    eta_arr, eta_scalar = _as_array(eta)
+    xi_arr = np.asarray(xi, dtype=float)
+    eta_arr = np.asarray(eta, dtype=float)
     total = np.zeros(np.broadcast(xi_arr, eta_arr).shape, dtype=complex)
     for k, f in enumerate(measure.densities):
         total = total + (
             np.exp(-1j * math.pi * k * eta_arr) * f.ft(xi_arr)
             - np.exp(-1j * math.pi * k * xi_arr) * f.ft(eta_arr)
         )
-    return _maybe_item(total, xi_scalar and eta_scalar)
+    return _scalar_or_array(total)
 
 
 def construct_consecutive_witness(

@@ -199,11 +199,15 @@ def test_precondition_errors_exit_two(tmp_path):
         ("kind = consecutive_witness\nn = 1\nxi_min = 1\nxi_max = -1\n",
          "max >= min"),
         ("n = 1\n", "missing the 'kind' key"),
+        ("kind = cross_witness\ngrid_points = 0\n", "grid_points must be at least 2"),
+        ("kind = ft_grid\nmeasure = cross\ndensities = []\n",
+         "densities must hold at least one density"),
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
          "cross_without_densities", "consecutive_without_n", "grid_without_measure",
          "xi_axis_nonzero_mean", "xi_axis_zero_density", "one_surface_point",
-         "zero_step", "max_below_min", "no_kind"],
+         "zero_step", "max_below_min", "no_kind", "no_cross_grid_points",
+         "empty_cross_densities"],
 )
 def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
     assert main(["run", write(tmp_path, "r.scenario", text)]) == 2
@@ -374,12 +378,18 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
         ("kind = cross_witness\ngrid_points = 100000000000000000000\n", "grid_points"),
         ("kind = surface_witness\npoints = 100000000000000000000\n", "points"),
         ("kind = kronecker_check\nalpha = 1.5\nsample_count = 1e20\n", "sample_count"),
+        # so is n: n + 2 lines checked on n + 1 heights, and n + 1 random cross
+        # levels on grid_points points, refused before any level is drawn
+        ("kind = consecutive_witness\nn = 1000000000000000\n", "n"),
+        ("kind = ft_grid\nmeasure = consecutive_witness\nn = 1000000000000000\n", "n"),
+        ("kind = cross_witness\nn = 1000000000000000\n", "n and grid_points"),
     ],
     ids=["number_for_list", "list_for_number", "object_for_number", "null_for_number",
          "list_for_object", "list_in_number_list", "list_in_atom", "fraction_for_whole",
          "fraction_for_points", "bool_for_whole", "empty_xi_axis_densities",
          "class_written_twice", "tiny_step", "overflowing_span", "huge_grid_points",
-         "huge_surface", "huge_sample_count"],
+         "huge_surface", "huge_sample_count", "huge_consecutive_n", "huge_grid_n",
+         "huge_cross_n"],
 )
 def test_mistyped_values_are_refused(tmp_path, capsys, text, key):
     path = write(tmp_path, "t.scenario", text)

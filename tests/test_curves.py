@@ -7,22 +7,28 @@ from scipy.integrate import quad
 
 from hup_lab import (
     BelowMinimumError,
+    CrossMeasure,
     CurveDensity,
     DegenerateWitnessError,
+    DensityAtom,
+    LineMeasure,
     OscillationBudgetError,
     WitnessConstructionError,
     absolute_mass,
     box,
     construct_single_line_witness,
+    cross_ft,
     exp_curve_ft,
     gaussian,
     line_phase,
+    line_system_ft,
     odd_bump,
     odd_pair,
     odd_profile,
     standard_witness_profile,
     surface_ft,
     triangle,
+    zero_density,
 )
 
 C_VALUES = (1.0, -0.5, 2.0)
@@ -327,3 +333,61 @@ def test_absolute_mass_far_from_the_origin():
     res = absolute_mass(g)
     assert res.value.real == pytest.approx(1.0, abs=1e-9)
     assert res.error <= 1e-9
+
+
+WITNESS = construct_single_line_witness(1.0, standard_witness_profile(1.0))
+LINES = LineMeasure((0.0, 1.0), (gaussian(), -triangle()))
+CROSS = CrossMeasure((gaussian(), odd_bump()))
+
+
+# every evaluator of measures and curves: a scalar gives a Python scalar of
+# exactly this type back, an array an ndarray of its shape and dtype
+@pytest.mark.parametrize(
+    "evaluate, kind",
+    [
+        (DensityAtom("box", 0.0, 1.0).value_at, complex),
+        (DensityAtom("triangle", 0.0, 1.0).ft, complex),
+        ((gaussian() + odd_bump()).value_at, complex),
+        ((gaussian() + odd_bump()).ft, complex),
+        (lambda xi: line_system_ft(LINES, xi, 0.5), complex),
+        (lambda eta: cross_ft(CROSS, 0.5, eta), complex),
+        (line_phase(1.0).value, float),
+        (line_phase(1.0).derivative, float),
+        (CurveDensity.from_density(triangle()).value_at, complex),
+        (WITNESS.value_at, complex),
+        (lambda u: odd_profile(WITNESS, 1.0, u), complex),
+    ],
+    ids=["atom_value_at", "atom_ft", "density_value_at", "density_ft",
+         "line_system_ft", "cross_ft", "phase_value", "phase_derivative",
+         "mixture_value_at", "witness_value_at", "odd_profile"],
+)
+def test_a_scalar_gives_a_python_scalar_and_an_array_an_array(evaluate, kind):
+    for scalar in (0.5, 3, np.float64(-2.5)):
+        assert type(evaluate(scalar)) is kind
+    for shape in ((2, 3), (0,)):
+        out = evaluate(np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape))
+        assert isinstance(out, np.ndarray)
+        assert (out.shape, out.dtype) == (shape, np.dtype(kind))
+
+
+@pytest.mark.parametrize(
+    "transform, measure", [(line_system_ft, LINES), (cross_ft, CROSS)]
+)
+def test_two_variable_transforms_broadcast_their_arguments(transform, measure):
+    out = transform(measure, np.zeros((2, 1)), np.ones(3))
+    assert isinstance(out, np.ndarray)
+    assert (out.shape, out.dtype) == ((2, 3), np.dtype(complex))
+
+
+def test_zero_density_transforms_to_an_exact_zero():
+    zero = CurveDensity.from_density(zero_density())
+    for res in (
+        exp_curve_ft(zero, 1.0, 0.5),
+        absolute_mass(zero),
+        surface_ft(zero, zero, (1.0, -1.0, 0.5)),
+    ):
+        assert (res.value, res.error) == (0j, 0.0)
+        assert (type(res.value), type(res.error)) == (complex, float)
+    # no support is no exemption: a tolerance no sum can meet is refused
+    with pytest.raises(OscillationBudgetError, match="exceeds the tolerance"):
+        exp_curve_ft(zero, 1.0, 0.5, abs_tol=-1.0)

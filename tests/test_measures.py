@@ -101,6 +101,15 @@ def test_support_intervals_and_breakpoints():
     assert merged.support_intervals() == ((-1.0, 2.0),)
     assert gaussian().support_intervals() is None
     assert 3.0 in triangle(center=3.0, width=1.0).breakpoints()
+    # an atom's support runs from its first knot to its last
+    for kind, knots, support in [
+        ("gaussian", (), None),
+        ("box", (0.5, 1.5), (0.5, 1.5)),
+        ("triangle", (0.0, 1.0, 2.0), (0.0, 2.0)),
+        ("odd_bump", (), None),
+    ]:
+        atom = DensityAtom(kind, 1.0, 1.0)
+        assert (atom.breakpoints(), atom.support()) == (knots, support)
 
 
 def test_line_measure_single_height_ignores_eta():
