@@ -40,9 +40,8 @@ from .curves import (
     CurveDensity,
     absolute_mass,
     construct_single_line_witness,
-    exp_curve_ft,
+    exp_curve_ft_many,
     standard_witness_profile,
-    surface_ft,
 )
 from .errors import DegenerateWitnessError, HupLabError
 from .linsys import (
@@ -490,12 +489,19 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
         raise ScenarioError("grid_points must be at least 2")
     t = np.linspace(-10.0, 10.0, _capped(p["grid_points"], "grid_points"))
     if p["variant"] == "diagonal":
+        n = p["n"]
+        if n < 0:
+            raise ScenarioError("n must be at least 0")
         # n + 1 levels on grid_points points, refused before any level is drawn
-        _capped((p["n"] + 1) * p["grid_points"], "n and grid_points")
+        _capped((n + 1) * p["grid_points"], "n and grid_points")
         densities = p["densities"]
         if densities is None:
-            densities = _random_densities(p["n"], np.random.default_rng(p["seed"]))
-        measure = construct_cross_diagonal_witness(p["n"], densities)
+            densities = _random_densities(n, np.random.default_rng(p["seed"]))
+        elif len(densities) != n + 1:
+            raise ScenarioError(
+                f"densities must hold n + 1 = {n + 1} densities, not {len(densities)}"
+            )
+        measure = construct_cross_diagonal_witness(n, densities)
         names, on_eta, off_eta = ("diagonal_max", "off_diagonal_max"), t, t + 1.0
     elif p["variant"] == "xi_axis":
         f0 = _or(p["density"], odd_bump)
@@ -517,15 +523,10 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     profile = standard_witness_profile(c)
     witness = construct_single_line_witness(c, profile)
     (xs,) = _grids(p, "x")
-    on_max = 0.0
-    off_max = 0.0
-    est_max = 0.0
-    for x in xs:
-        res = exp_curve_ft(witness, x, c * x, abs_tol=quad_tol)
-        on_max = max(on_max, abs(res.value))
-        est_max = max(est_max, res.error)
-        off = exp_curve_ft(witness, x, c * x + p["d"], abs_tol=quad_tol)
-        off_max = max(off_max, abs(off.value))
+    on, errors = exp_curve_ft_many(witness, xs, c * xs, abs_tol=quad_tol)
+    off, _ = exp_curve_ft_many(witness, xs, c * xs + p["d"], abs_tol=quad_tol)
+    on_max, off_max = float(np.max(np.abs(on))), float(np.max(np.abs(off)))
+    est_max = float(np.max(errors))
     g_mass = absolute_mass(witness).value.real
     extent = max(max(abs(lo), abs(hi)) for lo, hi in profile.support_intervals())
     phi_mass = absolute_mass(
@@ -556,16 +557,18 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
         if psi.is_zero():
             raise DegenerateWitnessError("surface factor psi_density is zero")
         first = CurveDensity.from_density(psi)
-        freqs = [(0.0, u, v) for u in axis_vals for v in axis_vals]
+        x1, x3 = np.zeros(points), axis_vals  # the hyperplane x1 = 0
     elif p["case"] == "slant":
         c = p["c"]
         profile = _or(p["profile"], lambda: standard_witness_profile(c))
         first = construct_single_line_witness(c, profile)
-        freqs = [(u, v, c * u) for u in axis_vals for v in axis_vals]
-    worst = 0.0
-    for freq in freqs:
-        ft = surface_ft(first, second, freq, abs_tol=p["quad_tol"])
-        worst = max(worst, abs(ft.value))
+        x1, x3 = axis_vals, c * axis_vals  # the hyperplane x3 = c*x1
+    # the kernel factorises: tau's transform at (x1, x3) times h's at (x2, x3)
+    first_ft, _ = exp_curve_ft_many(first, x1, x3, abs_tol=p["quad_tol"])
+    second_ft, _ = exp_curve_ft_many(
+        second, axis_vals[None, :], x3[:, None], abs_tol=p["quad_tol"]
+    )
+    worst = float(np.max(np.abs(first_ft[:, None] * second_ft)))
     checks = [_check("hyperplane_max", worst, "<=", p["tolerance"])]
     return [], checks
 

@@ -49,13 +49,22 @@ __all__ = [
     "construct_single_line_witness",
     "standard_witness_profile",
     "exp_curve_ft",
+    "exp_curve_ft_many",
     "surface_ft",
     "absolute_mass",
 ]
 
+# Frequencies that share one panel layout, and the most complex entries of
+# the phase matrix formed at once.
+_GROUP = 32
+_BLOCK = 4096
+
+
 @cache
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+def _paired_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 7-node Gauss-Legendre nodes and weights followed by the 15-node ones."""
+    rules = [np.polynomial.legendre.leggauss(order) for order in (7, 15)]
+    return tuple(np.concatenate(parts) for parts in zip(*rules))
 
 
 def _phase(t: float, c: float) -> float:
@@ -298,90 +307,184 @@ class QuadResult:
     error: float
 
 
-def _panel_sums(fun, a, b, n_panels):
-    """7- and 15-node Gauss-Legendre sums on ``n_panels`` panels of [a, b]."""
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    sums = []
-    for order in (7, 15):
-        nodes, weights = _gl(order)
-        t = mid[:, None] + half[:, None] * nodes[None, :]
-        v = fun(t.reshape(-1)).reshape(t.shape)
-        sums.append((v @ weights) * half)
-    return sums
-
-
-def _oscillatory_sum(fun, pieces, rate, abs_tol):
-    """Paired Gauss-Legendre sum over ``pieces``, refined until its error
-    estimate is within ``abs_tol``; refuses if four passes do not get there.
-    Over no pieces the first pass gives ``QuadResult(0j, 0.0)``, so an empty
-    support needs no case of its own.  Chunks of length at most 0.5 get
-    enough panels that a phase turning at ``rate(m)``, ``m`` the chunk's
+def _chunks(pieces, rate) -> list[tuple[float, float, int]]:
+    """``(a, b, panels)`` for each piece cut into chunks of length at most 0.5,
+    with enough panels that a phase turning at ``rate(m)``, ``m`` the chunk's
     largest ``|t|``, turns by at most ``PHASE_PER_PANEL`` per panel."""
-    chunks = []
+    out = []
     for lo, hi in pieces:
         edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 0.5)) + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             turn = (b - a) * rate(max(abs(a), abs(b))) / PHASE_PER_PANEL
-            chunks.append((a, b, max(1, math.ceil(turn))))
+            out.append((a, b, max(1, math.ceil(turn))))
+    return out
+
+
+def _panel_nodes(a, b, panels) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the paired rule on ``panels`` equal panels of [a, b], one row
+    per panel, and their weights scaled to the panel."""
+    nodes, weights = _paired_rule()
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+def _paired_sums(fun, chunks, kernel, columns):
+    """One pass of the paired rule over ``chunks`` for ``fun(t) * kernel(t)``.
+
+    ``kernel(t)`` gives the ``columns`` kernel values at each node of ``t``
+    along a new last axis (None: the plain integral, one column).  ``fun``
+    is read once per chunk; the kernel is formed a few panels at a time, at
+    most ``_BLOCK`` entries.  Returns per column the 15-node sum and the sum
+    over panels of ``|15-node - 7-node|``.
+    """
+    coarse_count = 7
+    total = np.zeros(columns, dtype=complex)
+    err = np.zeros(columns)
+    for a, b, panels in chunks:
+        t, w = _panel_nodes(a, b, panels)
+        values = (fun(t) * w)[..., None]
+        step = max(1, _BLOCK // (t.shape[1] * columns))
+        for i in range(0, panels, step):
+            terms = values[i : i + step]
+            if kernel is not None:
+                terms = terms * kernel(t[i : i + step])
+            coarse = terms[:, :coarse_count].sum(axis=1)
+            fine = terms[:, coarse_count:].sum(axis=1)
+            total += fine.sum(axis=0)
+            err += np.abs(fine - coarse).sum(axis=0)
+    return total, err
+
+
+def _refined_sums(fun, chunks, abs_tol, x=None, y=None):
+    """Paired Gauss-Legendre sums of ``fun`` over ``chunks``, one per
+    frequency ``(x[k], y[k])`` against ``exp(-i*pi*(x*t + y*exp(t**2)))``,
+    or a single plain sum when ``x`` is None.
+
+    Each frequency keeps its own error estimate.  The ones still above
+    ``abs_tol`` are summed again on twice the panels, and the call refuses
+    if four passes do not bring every one within it.  Over no chunks the
+    first pass gives zeros, so an empty support needs no case of its own.
+    """
+    count = 1 if x is None else len(x)
+    values = np.zeros(count, dtype=complex)
+    errors = np.zeros(count)
+    todo = np.arange(count)
     for attempt in range(4):
-        total = 0j
-        err = 0.0
-        for a, b, n_panels in chunks:
-            coarse, fine = _panel_sums(fun, a, b, n_panels * 2**attempt)
-            total += complex(fine.sum())
-            err += float(np.abs(fine - coarse).sum())
-        if err <= abs_tol:
-            return QuadResult(total, err)
+        layout = [(a, b, panels << attempt) for a, b, panels in chunks]
+        kernel = None
+        if x is not None:
+            xs, ys = x[todo], y[todo]
+
+            def kernel(t):
+                turn = t[..., None] * xs + np.exp(t * t)[..., None] * ys
+                return np.exp(-1j * math.pi * turn)
+
+        values[todo], errors[todo] = _paired_sums(fun, layout, kernel, len(todo))
+        todo = todo[errors[todo] > abs_tol]
+        if not todo.size:
+            return values, errors
     raise OscillationBudgetError(
-        f"quadrature error {err:.6g} still exceeds the tolerance {abs_tol:.6g} "
-        "after the last refinement pass"
+        f"quadrature error {errors[todo].max():.6g} still exceeds the tolerance "
+        f"{abs_tol:.6g} after the last refinement pass"
     )
+
+
+def exp_curve_ft_many(
+    g: CurveDensity, xs, ys, *, abs_tol: float = TOL.quad_abs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transform of a curve density at the frequencies ``(xs, ys)``, which
+    broadcast together: an array of values and one of error estimates, both
+    of the broadcast shape.
+
+    Every frequency whose oscillation ``|y| * exp(T**2)`` exceeds the
+    documented budget is refused first.  The rest are ordered by the rate
+    at which their phase ``pi*(x*t + y*exp(t**2))`` turns at the support
+    edge and taken ``_GROUP`` at a time.  A group shares one panel layout,
+    sized so that its largest ``|x|`` and ``|y|`` turn the phase by at most
+    pi/4 per panel, and ``g`` is read once per chunk of it.  Paired
+    Gauss-Legendre rules give each frequency its value and error estimate,
+    the sum of the pairwise rule differences; a frequency whose estimate
+    still exceeds ``abs_tol`` after the last refinement pass is refused.
+    """
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    x = np.broadcast_to(np.asarray(xs, dtype=float), shape).reshape(-1)
+    y = np.broadcast_to(np.asarray(ys, dtype=float), shape).reshape(-1)
+    radius = g.support_radius
+    for y_k in y.tolist():
+        if radius * radius > 700.0 or abs(y_k) * math.exp(radius * radius) > OSC_BUDGET:
+            raise OscillationBudgetError(
+                f"|y|*exp(T^2) = {abs(y_k):.3g}*exp({radius:.3g}^2) exceeds the "
+                f"oscillation budget {OSC_BUDGET:.6g}"
+            )
+    pieces = g.smooth_pieces()
+    edge = max((max(abs(lo), abs(hi)) for lo, hi in pieces), default=0.0)
+    edge_rate = np.abs(x) + 2.0 * np.abs(y) * edge * math.exp(edge * edge)
+    order = np.argsort(edge_rate, kind="stable")
+    values = np.zeros(x.shape, dtype=complex)
+    errors = np.zeros(x.shape)
+    for start in range(0, len(order), _GROUP):
+        group = order[start : start + _GROUP]
+        x_top, y_top = np.abs(x[group]).max(), np.abs(y[group]).max()
+
+        def rate(m: float) -> float:
+            return math.pi * (x_top + 2.0 * y_top * m * math.exp(m * m))
+
+        chunks = _chunks(pieces, rate)
+        values[group], errors[group] = _refined_sums(
+            g.value_at, chunks, abs_tol, x[group], y[group]
+        )
+    return values.reshape(shape), errors.reshape(shape)
 
 
 def exp_curve_ft(
     g: CurveDensity, x: float, y: float, *, abs_tol: float = TOL.quad_abs
 ) -> QuadResult:
-    """Transform of a curve density at frequency ``(x, y)``.
+    """Transform of a curve density at the one frequency ``(x, y)``, through
+    :func:`exp_curve_ft_many`; refused under the same two rules."""
+    values, errors = exp_curve_ft_many(g, [x], [y], abs_tol=abs_tol)
+    return QuadResult(complex(values[0]), float(errors[0]))
 
-    Panels are sized so the oscillatory phase ``pi*(x*t + y*exp(t**2))``
-    advances at most pi/4 per panel, then integrated by paired
-    Gauss-Legendre rules; the reported error is the sum of the pairwise
-    rule differences.  Frequencies whose oscillation ``|y| * exp(T**2)``
-    exceeds the documented budget are refused outright rather than
-    returning an untrusted number, and so is a sum whose error estimate
-    still exceeds ``abs_tol`` after the last refinement pass.
-    """
-    x = float(x)
-    y = float(y)
-    radius = g.support_radius
-    if radius * radius > 700.0 or abs(y) * math.exp(radius * radius) > OSC_BUDGET:
-        raise OscillationBudgetError(
-            f"|y|*exp(T^2) = {abs(y):.3g}*exp({radius:.3g}^2) exceeds the "
-            f"oscillation budget {OSC_BUDGET:.6g}"
-        )
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        phase = np.exp(-1j * math.pi * (x * t + y * np.exp(t * t)))
-        return phase * g.value_at(t)
+def _sign_cuts(g: CurveDensity, pieces, rate) -> list[tuple[float, float]]:
+    """``pieces`` cut where a real ``g`` changes sign between two nodes of
+    the first pass, so that no kink of ``|g|`` lies inside a panel."""
 
-    def rate(m: float) -> float:
-        return math.pi * (abs(x) + 2.0 * abs(y) * m * math.exp(m * m))
+    def real(s: float) -> float:
+        return complex(g.value_at(s)).real
 
-    return _oscillatory_sum(integrand, g.smooth_pieces(), rate, abs_tol)
+    out = []
+    for lo, hi in pieces:
+        nodes = [_panel_nodes(*chunk)[0] for chunk in _chunks([(lo, hi)], rate)]
+        t = np.sort(np.concatenate(nodes, axis=None))
+        v = np.asarray(g.value_at(t))
+        cuts = []
+        if not np.any(v.imag):
+            t, v = t[v.real != 0], v.real[v.real != 0]
+            ftol = 1e-12 * float(np.max(np.abs(v), initial=0.0))
+            for i in np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:])):
+                chord = float((v[i + 1] - v[i]) / (t[i + 1] - t[i]))
+                cuts.append(_bracketed_root(
+                    real, lambda s, chord=chord: chord, float(t[i]), float(t[i + 1]), ftol
+                ))
+        out += _knot_pairs(lo, hi, cuts)
+    return out
 
 
 def absolute_mass(g: CurveDensity) -> QuadResult:
-    """Integral of ``|g|`` over the support (non-oscillatory panels)."""
+    """Integral of ``|g|`` over the support (non-oscillatory panels), each
+    piece cut where a real ``g`` changes sign."""
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.abs(g.value_at(t)).astype(complex)
+    def rate(m: float) -> float:
+        # a rate of 4*pi gives 16 panels per unit length to the smooth integrand
+        return 4.0 * math.pi
 
-    # a rate of 4*pi gives 16 panels per unit length to the smooth integrand
-    return _oscillatory_sum(
-        integrand, g.smooth_pieces(), lambda m: 4.0 * math.pi, TOL.quad_abs
+    pieces = _sign_cuts(g, g.smooth_pieces(), rate)
+    values, errors = _refined_sums(
+        lambda t: np.abs(g.value_at(t)), _chunks(pieces, rate), TOL.quad_abs
     )
+    return QuadResult(complex(values[0]), float(errors[0]))
 
 
 def odd_profile(g: CurveDensity, c: float, u):

@@ -75,6 +75,22 @@ def ft_quad(f, xi, lo=-30.0, hi=30.0, breakpoints=()):
     return complex(re_val, im_val)
 
 
+def curve_ft_quad(f, x, y, lo, hi, breakpoints=()):
+    """Adaptive-quadrature oracle for the curve transform of ``f`` on
+    [lo, hi], kernel exp(-i*pi*(x*t + y*exp(t**2)))."""
+
+    def integrand(t):
+        return complex(f(t)) * cmath.exp(-1j * math.pi * (x * t + y * math.exp(t * t)))
+
+    pts = sorted(float(b) for b in breakpoints if lo < b < hi)
+    kwargs = {"limit": 800, "epsabs": 1e-12, "epsrel": 1e-12}
+    if pts:
+        kwargs["points"] = pts
+    re_val, _ = quad(lambda t: integrand(t).real, lo, hi, **kwargs)
+    im_val, _ = quad(lambda t: integrand(t).imag, lo, hi, **kwargs)
+    return complex(re_val, im_val)
+
+
 def reference_fold(points, tol=1e-9):
     """Fold eta mod 2 and drop pairwise duplicates, first occurrence wins."""
     folded = []

@@ -202,12 +202,16 @@ def test_precondition_errors_exit_two(tmp_path):
         ("kind = cross_witness\ngrid_points = 0\n", "grid_points must be at least 2"),
         ("kind = ft_grid\nmeasure = cross\ndensities = []\n",
          "densities must hold at least one density"),
+        ("kind = cross_witness\ndensities = [[{\"kind\": \"gaussian\"}], []]\n",
+         "densities must hold n + 1 = 1 densities, not 2"),
+        ("kind = cross_witness\nn = -1\n", "n must be at least 0"),
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
          "cross_without_densities", "consecutive_without_n", "grid_without_measure",
          "xi_axis_nonzero_mean", "xi_axis_zero_density", "one_surface_point",
          "zero_step", "max_below_min", "no_kind", "no_cross_grid_points",
-         "empty_cross_densities"],
+         "empty_cross_densities", "diagonal_densities_not_n_plus_one",
+         "diagonal_negative_n"],
 )
 def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
     assert main(["run", write(tmp_path, "r.scenario", text)]) == 2

@@ -19,6 +19,7 @@ from hup_lab import (
     construct_single_line_witness,
     cross_ft,
     exp_curve_ft,
+    exp_curve_ft_many,
     gaussian,
     line_phase,
     line_system_ft,
@@ -30,6 +31,7 @@ from hup_lab import (
     triangle,
     zero_density,
 )
+from conftest import curve_ft_quad
 
 C_VALUES = (1.0, -0.5, 2.0)
 
@@ -391,3 +393,94 @@ def test_zero_density_transforms_to_an_exact_zero():
     # no support is no exemption: a tolerance no sum can meet is refused
     with pytest.raises(OscillationBudgetError, match="exceeds the tolerance"):
         exp_curve_ft(zero, 1.0, 0.5, abs_tol=-1.0)
+
+
+# ------------------------------------------------------ the batched engine
+
+
+@pytest.mark.parametrize("c", (0.8, -3.2))
+def test_batched_sweep_agrees_with_one_frequency_at_a_time(c):
+    wit = construct_single_line_witness(c, standard_witness_profile(c))
+    xs = np.tile(np.linspace(-5.0, 5.0, 41), 2)
+    ys = c * xs + np.repeat([0.0, 1.0], 41)  # on the line, then off it
+    values, errors = exp_curve_ft_many(wit, xs, ys)
+    assert values.shape == errors.shape == xs.shape
+    for x, y, value, error in zip(xs, ys, values, errors):
+        single = exp_curve_ft(wit, float(x), float(y))
+        assert abs(value - single.value) <= error + single.error
+
+
+def test_batched_transform_matches_adaptive_quadrature():
+    f = triangle(center=0.4, width=0.7) + box(center=-0.6, width=0.8, amplitude=-0.5)
+    f = f + gaussian(center=-0.3, width=0.5, amplitude=2.0)
+    g = CurveDensity.from_density(f)
+    freqs = [(0.0, 0.0), (1.5, 0.3), (-2.0, 1.0), (3.0, -0.5), (0.7, 2.0)]
+    xs, ys = zip(*freqs)
+    values, errors = exp_curve_ft_many(g, xs, ys)
+    radius = g.support_radius
+    for x, y, value, error in zip(xs, ys, values, errors):
+        want = curve_ft_quad(f.value_at, x, y, -radius, radius, f.breakpoints())
+        assert abs(value - want) <= error + 1e-10
+
+
+def test_batched_refusals():
+    g = CurveDensity.from_density(triangle())
+    # the budget is checked for every frequency before any sum is formed:
+    # the last y is named, although no sum could meet this tolerance
+    with pytest.raises(OscillationBudgetError, match=r"\|y\|\*exp\(T\^2\) = 1e\+05\*exp"):
+        exp_curve_ft_many(g, [0.0, 1.0, 2.0], [0.5, -3.0, 1e5], abs_tol=1e-18)
+    with pytest.raises(OscillationBudgetError, match="exceeds the tolerance 1e-18 after"):
+        exp_curve_ft_many(g, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], abs_tol=1e-18)
+
+
+def test_only_the_frequencies_above_tolerance_are_summed_again():
+    # the first pass's panels leave about 1e-11 on this narrow gaussian and
+    # the second about 1e-15, so some frequencies need a third pass
+    f = gaussian(center=0.1, width=0.05)
+    xs = np.linspace(0.0, 6.0, 7)
+    values, errors = exp_curve_ft_many(CurveDensity.from_density(f), xs, 0.0, abs_tol=1e-15)
+    assert np.all(errors <= 1e-15)
+    assert np.max(np.abs(values - f.ft(xs))) <= 1e-14
+
+
+def test_empty_batch_and_zero_density_give_zeros():
+    g = CurveDensity.from_density(triangle())
+    values, errors = exp_curve_ft_many(g, [], [])
+    assert (values.shape, errors.shape) == ((0,), (0,))
+    zero = CurveDensity.from_density(zero_density())
+    values, errors = exp_curve_ft_many(zero, np.linspace(-3.0, 3.0, 40), 1.5)
+    assert values.shape == errors.shape == (40,)
+    assert not values.any() and not errors.any()
+
+
+@pytest.mark.parametrize("case", ("axis", "slant"))
+def test_surface_outer_product_matches_surface_ft(case):
+    grid = np.linspace(-3.0, 3.0, 7)
+    second = CurveDensity.from_density(triangle(center=0.0, width=1.0))
+    if case == "axis":
+        first = CurveDensity.from_density(odd_pair(triangle(center=1.0, width=0.8)))
+        x1, x3 = np.zeros(grid.size), grid
+    else:
+        first = construct_single_line_witness(1.0, standard_witness_profile(1.0))
+        x1, x3 = grid, 1.0 * grid
+    first_ft, first_err = exp_curve_ft_many(first, x1, x3)
+    second_ft, second_err = exp_curve_ft_many(second, grid[None, :], x3[:, None])
+    assert second_ft.shape == second_err.shape == (7, 7)
+    product = first_ft[:, None] * second_ft
+    bound = np.abs(first_ft[:, None]) * second_err + np.abs(second_ft) * first_err[:, None]
+    for i, j in np.ndindex(product.shape):
+        want = surface_ft(first, second, (x1[i], grid[j], x3[i]))
+        assert abs(product[i, j] - want.value) <= bound[i, j] + want.error
+
+
+def test_absolute_mass_cuts_at_a_sign_change():
+    # gaussian + odd_bump at (0.3, 0.9) is exp(-pi*u**2/0.81)*(1 + u) with
+    # u = t - 0.3: it changes sign at t = -0.7, where |g| has a kink
+    f = gaussian(0.3, 0.9) + odd_bump(0.3, 0.9)
+    res = absolute_mass(CurveDensity.from_density(f))
+    want, _ = quad(
+        lambda t: abs(complex(f.value_at(t))), -2.5, 2.5,
+        points=[-0.7], epsabs=1e-13, epsrel=1e-13, limit=200,
+    )
+    assert res.error <= 1e-9
+    assert res.value.real == pytest.approx(want, abs=1e-12)
