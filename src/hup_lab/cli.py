@@ -643,7 +643,9 @@ def _grid_rows(p: dict):
             heights = list(lam)
         transform = line_system_ft
     xi, eta = _grids(p, "xi", "eta")
-    # one call per xi: a single 2-D call rounds some values differently
+    # one call per xi, not one over the whole axis: on numpy scalars the
+    # triangle transform's ``** 2`` and an atom's complex amplitude times
+    # its phase round differently from the same operations on an array
     return xi, eta, heights, (_row(transform(measure, float(x), eta)) for x in xi)
 
 
@@ -709,16 +711,21 @@ def emit_grid(scenario: Scenario, out_path: str) -> int:
     """Write the CSV grid of an ``ft_grid`` scenario; returns the row count.
 
     Columns are ``xi,eta,re,im,abs`` with 17 significant digits, rows in
-    row-major order (xi outer, eta inner).
+    row-major order (xi outer, eta inner).  Each axis value is formatted
+    once and each xi's lines go out in one write.
     """
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
     xi, eta, _, rows = _grid_rows(_resolve(scenario)[1])
+    etas = [f"{e:.17g}" for e in eta.tolist()]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("xi,eta,re,im,abs\n")
         for x, (vals, mags) in zip(xi.tolist(), rows):
-            for e, v, m in zip(eta.tolist(), vals, mags):
-                fh.write(f"{x:.17g},{e:.17g},{v.real:.17g},{v.imag:.17g},{m:.17g}\n")
+            x = f"{x:.17g}"
+            fh.write("".join([
+                f"{x},{e},{v.real:.17g},{v.imag:.17g},{m:.17g}\n"
+                for e, v, m in zip(etas, vals, mags)
+            ]))
     return len(xi) * len(eta)
 
 

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hup_lab
-from hup_lab import cli
+from hup_lab import cli, measures
 from hup_lab.cli import (
     Scenario,
     ScenarioError,
@@ -16,6 +17,13 @@ from hup_lab.cli import (
     main,
     parse_scenario_text,
     run_scenario,
+)
+from hup_lab.measures import (
+    LineMeasure,
+    construct_consecutive_witness,
+    construct_cross_diagonal_witness,
+    cross_ft,
+    line_system_ft,
 )
 
 
@@ -496,6 +504,115 @@ def test_grid_is_byte_deterministic(tmp_path):
     emit_grid(scenario, str(out1))
     emit_grid(scenario, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _oracle_csv(transform, measure, xi, eta) -> bytes:
+    """The grid CSV built field by field: one transform call per xi."""
+    lines = ["xi,eta,re,im,abs\n"]
+    for x in xi:
+        values = transform(measure, float(x), eta)
+        for e, v in zip(eta, values):
+            v = complex(v)
+            lines.append(
+                f"{float(x):.17g},{float(e):.17g},"
+                f"{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\n"
+            )
+    return "".join(lines).encode("utf-8")
+
+
+def _axis(lo, step, count):
+    return lo + step * np.arange(count)
+
+
+# Each grid: its scenario text, then (transform, measure, xi, eta) built
+# from the library directly.  Steps of 0.1 and 0.05 give axis values such
+# as 0.30000000000000004 that need all 17 digits.
+ORACLE_GRIDS = {
+    "line": (
+        "kind = ft_grid\nmeasure = line\nheights = [0.0, 1.5]\n"
+        'densities = [[{"kind": "triangle", "center": 0.3, "width": 0.8}], '
+        '[{"kind": "box", "center": -0.2, "width": 1.1, "amplitude": [0.5, -1.0]}, '
+        '{"kind": "triangle", "width": 0.7, "amplitude": -1.0}]]\n'
+        "xi_min = -3.0\nxi_max = 3.0\nxi_step = 0.1\n"
+        "eta_min = 0.0\neta_max = 2.0\neta_step = 0.1\n",
+        lambda: (
+            line_system_ft,
+            LineMeasure(
+                (0.0, 1.5),
+                (
+                    measures.triangle(0.3, 0.8),
+                    measures.box(-0.2, 1.1, 0.5 - 1.0j)
+                    + measures.triangle(0.0, 0.7, -1.0),
+                ),
+            ),
+            _axis(-3.0, 0.1, 61),
+            _axis(0.0, 0.1, 21),
+        ),
+    ),
+    "cross": (
+        "kind = ft_grid\nmeasure = cross\n"
+        'densities = [[{"kind": "odd_bump"}], [{"kind": "gaussian", '
+        '"center": 0.5, "width": 0.7, "amplitude": [0.3, -1.2]}]]\n'
+        "xi_min = -2.0\nxi_max = 2.0\nxi_step = 0.1\n"
+        "eta_min = -1.0\neta_max = 1.0\neta_step = 0.1\n",
+        lambda: (
+            cross_ft,
+            construct_cross_diagonal_witness(
+                1, [measures.odd_bump(), measures.gaussian(0.5, 0.7, 0.3 - 1.2j)]
+            ),
+            _axis(-2.0, 0.1, 41),
+            _axis(-1.0, 0.1, 21),
+        ),
+    ),
+    "consecutive_witness": (
+        "kind = ft_grid\nmeasure = consecutive_witness\nn = 2\n"
+        'seed_density = [{"kind": "gaussian", "center": 0.2, "width": 0.9}, '
+        '{"kind": "triangle", "amplitude": [0.6, 0.8]}]\n'
+        "xi_min = -2.0\nxi_max = 2.0\nxi_step = 0.05\n"
+        "eta_min = 0.0\neta_max = 2.0\neta_step = 0.1\n",
+        lambda: (
+            line_system_ft,
+            construct_consecutive_witness(
+                2, measures.gaussian(0.2, 0.9) + measures.triangle(0.0, 1.0, 0.6 + 0.8j)
+            )[0],
+            _axis(-2.0, 0.05, 81),
+            _axis(0.0, 0.1, 21),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_grid_csv_matches_field_by_field_oracle(tmp_path, name):
+    text, build = ORACLE_GRIDS[name]
+    transform, measure, xi, eta = build()
+    out = tmp_path / "g.csv"
+    rows = emit_grid(load_scenario(write(tmp_path, "g.scenario", text)), str(out))
+    assert rows == len(xi) * len(eta)
+    assert out.read_bytes() == _oracle_csv(transform, measure, xi, eta)
+
+
+@pytest.mark.parametrize(
+    "axes, xi",
+    [
+        ("xi_min = 0.5\nxi_max = 0.5\n", [0.5]),
+        ("xi_min = -1.0\nxi_max = 1.0\nxi_step = 0.5\n", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+    ],
+    ids=["one_point", "one_eta"],
+)
+def test_grid_edge_shapes_write_every_row(tmp_path, axes, xi):
+    text = (
+        "kind = ft_grid\nmeasure = consecutive_witness\nn = 1\n"
+        + axes
+        + "eta_min = 1.25\neta_max = 1.25\n"
+    )
+    out = tmp_path / "edge.csv"
+    rows = emit_grid(load_scenario(write(tmp_path, "e.scenario", text)), str(out))
+    lines = out.read_text().splitlines()
+    assert lines[0] == "xi,eta,re,im,abs"
+    assert rows == len(lines) - 1 == len(xi)
+    fields = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [f[:2] for f in fields] == [[x, 1.25] for x in xi]
 
 
 def test_grid_command_validates_kind_and_path(tmp_path):
