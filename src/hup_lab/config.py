@@ -37,10 +37,13 @@ TOL = Tolerances()
 
 # Oscillatory quadrature policy.  Densities on the exponential curve are
 # declared to vanish outside [-SUPPORT_RADIUS, SUPPORT_RADIUS]; the refusal
-# budget corresponds to |y| <= 20 at the default radius 2.5.
+# budget corresponds to |y| <= 20 at the default radius 2.5.  A first-pass
+# panel turns the phase by at most PHASE_PER_PANEL: at pi/2 the 15-node
+# Kronrod sum is still exact to rounding, and its 7-node Gauss estimate is
+# about 1e-13.
 SUPPORT_RADIUS = 2.5
 OSC_BUDGET = 20.0 * math.exp(SUPPORT_RADIUS**2)
-PHASE_PER_PANEL = math.pi / 4.0
+PHASE_PER_PANEL = math.pi / 2.0
 
 # A scenario grid (an axis, a surface, a sample set or an xi x eta table) of
 # more points than this is refused before anything is allocated.

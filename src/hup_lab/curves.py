@@ -62,9 +62,37 @@ _BLOCK = 4096
 
 @cache
 def _paired_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 7-node Gauss-Legendre nodes and weights followed by the 15-node ones."""
-    rules = [np.polynomial.legendre.leggauss(order) for order in (7, 15)]
-    return tuple(np.concatenate(parts) for parts in zip(*rules))
+    """The 15 Gauss-Kronrod nodes on [-1, 1], ascending, and two rows of
+    weights: the Kronrod ones, and those of the 7-node Gauss rule, whose
+    nodes are the ones at odd positions (QUADPACK ``qk15``)."""
+    half = np.array([
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+    ])
+    kronrod = np.array([
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
+    ])
+    gauss = np.array([
+        0.0, 0.129484966168869693270611432679082,
+        0.0, 0.279705391489276667901467771423780,
+        0.0, 0.381830050505118944950369775488975,
+        0.0, 0.417959183673469387755102040816327,
+    ])
+    nodes = np.concatenate([-half, [0.0], half[::-1]])
+    weights = np.stack([np.concatenate([w, w[-2::-1]]) for w in (kronrod, gauss)])
+    return nodes, weights
 
 
 def _phase(t: float, c: float) -> float:
@@ -322,12 +350,12 @@ def _chunks(pieces, rate) -> list[tuple[float, float, int]]:
 
 def _panel_nodes(a, b, panels) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the paired rule on ``panels`` equal panels of [a, b], one row
-    per panel, and their weights scaled to the panel."""
+    per panel, and its two rows of weights scaled to each panel."""
     nodes, weights = _paired_rule()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+    return mid[:, None] + half[:, None] * nodes, half[:, None, None] * weights
 
 
 def _paired_sums(fun, chunks, kernel, columns):
@@ -336,42 +364,43 @@ def _paired_sums(fun, chunks, kernel, columns):
     ``kernel(t)`` gives the ``columns`` kernel values at each node of ``t``
     along a new last axis (None: the plain integral, one column).  ``fun``
     is read once per chunk; the kernel is formed a few panels at a time, at
-    most ``_BLOCK`` entries.  Returns per column the 15-node sum and the sum
-    over panels of ``|15-node - 7-node|``.
+    most ``_BLOCK`` entries.  Returns per column the Kronrod sum and the sum
+    over panels of ``|Kronrod - Gauss|``.
     """
-    coarse_count = 7
     total = np.zeros(columns, dtype=complex)
     err = np.zeros(columns)
     for a, b, panels in chunks:
         t, w = _panel_nodes(a, b, panels)
-        values = (fun(t) * w)[..., None]
+        values = fun(t)[:, None, :] * w  # per panel: a Kronrod and a Gauss row
         step = max(1, _BLOCK // (t.shape[1] * columns))
         for i in range(0, panels, step):
-            terms = values[i : i + step]
-            if kernel is not None:
-                terms = terms * kernel(t[i : i + step])
-            coarse = terms[:, :coarse_count].sum(axis=1)
-            fine = terms[:, coarse_count:].sum(axis=1)
-            total += fine.sum(axis=0)
-            err += np.abs(fine - coarse).sum(axis=0)
+            part = values[i : i + step]
+            if kernel is None:
+                sums = part.sum(axis=-1)[..., None]
+            else:
+                sums = part @ kernel(t[i : i + step])
+            total += sums[:, 0].sum(axis=0)
+            err += np.abs(sums[:, 0] - sums[:, 1]).sum(axis=0)
     return total, err
 
 
 def _refined_sums(fun, chunks, abs_tol, x=None, y=None):
-    """Paired Gauss-Legendre sums of ``fun`` over ``chunks``, one per
+    """Gauss-Kronrod (7, 15) sums of ``fun`` over ``chunks``, one per
     frequency ``(x[k], y[k])`` against ``exp(-i*pi*(x*t + y*exp(t**2)))``,
     or a single plain sum when ``x`` is None.
 
-    Each frequency keeps its own error estimate.  The ones still above
-    ``abs_tol`` are summed again on twice the panels, and the call refuses
-    if four passes do not bring every one within it.  Over no chunks the
-    first pass gives zeros, so an empty support needs no case of its own.
+    Each frequency keeps its own error estimate, ``|K15 - G7|`` summed over
+    the panels.  The ones still above ``abs_tol`` are summed again on twice
+    the panels, and the call refuses if five passes do not bring every one
+    within it.  The fifth pass cuts each first-pass panel into 16, so its
+    panels turn the phase by at most pi/32.  Over no chunks the first pass
+    gives zeros, so an empty support needs no case of its own.
     """
     count = 1 if x is None else len(x)
     values = np.zeros(count, dtype=complex)
     errors = np.zeros(count)
     todo = np.arange(count)
-    for attempt in range(4):
+    for attempt in range(5):
         layout = [(a, b, panels << attempt) for a, b, panels in chunks]
         kernel = None
         if x is not None:
@@ -398,32 +427,38 @@ def exp_curve_ft_many(
     broadcast together: an array of values and one of error estimates, both
     of the broadcast shape.
 
-    Every frequency whose oscillation ``|y| * exp(T**2)`` exceeds the
-    documented budget is refused first.  The rest are ordered by the rate
-    at which their phase ``pi*(x*t + y*exp(t**2))`` turns at the support
-    edge and taken ``_GROUP`` at a time.  A group shares one panel layout,
-    sized so that its largest ``|x|`` and ``|y|`` turn the phase by at most
-    pi/4 per panel, and ``g`` is read once per chunk of it.  Paired
-    Gauss-Legendre rules give each frequency its value and error estimate,
-    the sum of the pairwise rule differences; a frequency whose estimate
-    still exceeds ``abs_tol`` after the last refinement pass is refused.
+    Every frequency that is not finite, or whose oscillation
+    ``|y| * exp(T**2)`` exceeds the documented budget, is refused first; an
+    empty batch gives empty arrays.  The rest are ordered by the rate at
+    which their phase ``pi*(x*t + y*exp(t**2))`` turns at the support edge
+    and taken ``_GROUP`` at a time.  A group shares one panel layout, sized
+    so that its largest ``|x|`` and ``|y|`` turn the phase by at most pi/2
+    per panel, and ``g`` is read once per chunk of it.  The Gauss-Kronrod
+    (7, 15) rule gives each frequency its value and error estimate, the sum
+    of ``|K15 - G7|`` over the panels; a frequency whose estimate still
+    exceeds ``abs_tol`` after the last refinement pass is refused.
     """
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
     x = np.broadcast_to(np.asarray(xs, dtype=float), shape).reshape(-1)
     y = np.broadcast_to(np.asarray(ys, dtype=float), shape).reshape(-1)
     radius = g.support_radius
-    for y_k in y.tolist():
+    for x_k, y_k in zip(x.tolist(), y.tolist()):
+        if not (math.isfinite(x_k) and math.isfinite(y_k)):
+            raise ValueError(f"frequency (x, y) = ({x_k}, {y_k}) is not finite")
         if radius * radius > 700.0 or abs(y_k) * math.exp(radius * radius) > OSC_BUDGET:
             raise OscillationBudgetError(
                 f"|y|*exp(T^2) = {abs(y_k):.3g}*exp({radius:.3g}^2) exceeds the "
                 f"oscillation budget {OSC_BUDGET:.6g}"
             )
+    values = np.zeros(x.shape, dtype=complex)
+    errors = np.zeros(x.shape)
+    if not x.size:
+        # no frequency to refuse a wide support for: exp(edge**2) may overflow
+        return values.reshape(shape), errors.reshape(shape)
     pieces = g.smooth_pieces()
     edge = max((max(abs(lo), abs(hi)) for lo, hi in pieces), default=0.0)
     edge_rate = np.abs(x) + 2.0 * np.abs(y) * edge * math.exp(edge * edge)
     order = np.argsort(edge_rate, kind="stable")
-    values = np.zeros(x.shape, dtype=complex)
-    errors = np.zeros(x.shape)
     for start in range(0, len(order), _GROUP):
         group = order[start : start + _GROUP]
         x_top, y_top = np.abs(x[group]).max(), np.abs(y[group]).max()
@@ -442,7 +477,7 @@ def exp_curve_ft(
     g: CurveDensity, x: float, y: float, *, abs_tol: float = TOL.quad_abs
 ) -> QuadResult:
     """Transform of a curve density at the one frequency ``(x, y)``, through
-    :func:`exp_curve_ft_many`; refused under the same two rules."""
+    :func:`exp_curve_ft_many`; refused under the same rules."""
     values, errors = exp_curve_ft_many(g, [x], [y], abs_tol=abs_tol)
     return QuadResult(complex(values[0]), float(errors[0]))
 
@@ -477,8 +512,8 @@ def absolute_mass(g: CurveDensity) -> QuadResult:
     piece cut where a real ``g`` changes sign."""
 
     def rate(m: float) -> float:
-        # a rate of 4*pi gives 16 panels per unit length to the smooth integrand
-        return 4.0 * math.pi
+        # a rate of 8*pi gives 16 panels per unit length to the smooth integrand
+        return 8.0 * math.pi
 
     pieces = _sign_cuts(g, g.smooth_pieces(), rate)
     values, errors = _refined_sums(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hup_lab import (
     triangle,
     zero_density,
 )
+from hup_lab import curves
 from conftest import curve_ft_quad
 
 C_VALUES = (1.0, -0.5, 2.0)
@@ -433,14 +435,75 @@ def test_batched_refusals():
         exp_curve_ft_many(g, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], abs_tol=1e-18)
 
 
-def test_only_the_frequencies_above_tolerance_are_summed_again():
-    # the first pass's panels leave about 1e-11 on this narrow gaussian and
-    # the second about 1e-15, so some frequencies need a third pass
+def _count_columns(monkeypatch) -> list[int]:
+    """Record how many frequencies each pass of the paired rule sums."""
+    passes = []
+    paired_sums = curves._paired_sums
+
+    def spy(fun, chunks, kernel, columns):
+        passes.append(columns)
+        return paired_sums(fun, chunks, kernel, columns)
+
+    monkeypatch.setattr(curves, "_paired_sums", spy)
+    return passes
+
+
+def test_only_the_frequencies_above_tolerance_are_summed_again(monkeypatch):
+    # the first pass leaves about 2e-7 on this narrow gaussian, the second
+    # 3e-11 and the third 2e-15, so 4 of the 7 frequencies take a fourth
+    passes = _count_columns(monkeypatch)
     f = gaussian(center=0.1, width=0.05)
     xs = np.linspace(0.0, 6.0, 7)
     values, errors = exp_curve_ft_many(CurveDensity.from_density(f), xs, 0.0, abs_tol=1e-15)
     assert np.all(errors <= 1e-15)
     assert np.max(np.abs(values - f.ft(xs))) <= 1e-14
+    assert passes[0] == 7
+    assert any(0 < count < 7 for count in passes[1:])
+
+
+def test_the_last_pass_is_fine_enough_for_a_very_narrow_gaussian():
+    # every frequency takes the last pass and ends near 2e-10: a last pass
+    # on coarser panels would refuse this gaussian
+    f = gaussian(0.3, 0.004)
+    xs = np.linspace(0.0, 6.0, 7)
+    values, errors = exp_curve_ft_many(CurveDensity.from_density(f), xs, 0.0)
+    assert np.all(errors <= 1e-9)
+    assert np.max(np.abs(values - f.ft(xs))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "x, y, shown",
+    [
+        (math.nan, 0.5, "(nan, 0.5)"),
+        (math.inf, 0.5, "(inf, 0.5)"),
+        (-math.inf, 0.5, "(-inf, 0.5)"),
+        (1.5, math.nan, "(1.5, nan)"),
+        (1.5, -math.inf, "(1.5, -inf)"),
+    ],
+)
+def test_nonfinite_frequencies_are_refused_by_name(monkeypatch, x, y, shown):
+    # refused before any sum is formed, also behind finite frequencies
+    passes = _count_columns(monkeypatch)
+    g = CurveDensity.from_density(triangle())
+    with pytest.raises(ValueError, match=re.escape(f"frequency (x, y) = {shown} is not finite")):
+        exp_curve_ft_many(g, [0.0, 1.0, x], [0.0, 1.0, y])
+    assert passes == []
+
+
+def test_kronrod_table_matches_independent_sources():
+    nodes, (kronrod, gauss) = curves._paired_rule()
+    assert nodes.shape == kronrod.shape == gauss.shape == (15,)
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(nodes[1::2] - gauss_nodes)) <= 1e-15
+    assert np.max(np.abs(gauss[1::2] - gauss_weights)) <= 1e-15
+    assert not gauss[0::2].any()
+    assert kronrod.sum() == pytest.approx(2.0, abs=1e-15)
+    assert gauss.sum() == pytest.approx(2.0, abs=1e-15)
+    for k in range(23):
+        moment = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert kronrod @ nodes**k == pytest.approx(moment, abs=1e-15)
+        if k <= 13:
+            assert gauss @ nodes**k == pytest.approx(moment, abs=1e-15)
 
 
 def test_empty_batch_and_zero_density_give_zeros():
@@ -451,6 +514,15 @@ def test_empty_batch_and_zero_density_give_zeros():
     values, errors = exp_curve_ft_many(zero, np.linspace(-3.0, 3.0, 40), 1.5)
     assert values.shape == errors.shape == (40,)
     assert not values.any() and not errors.any()
+
+
+def test_an_empty_batch_on_a_wide_support_gives_empty_arrays():
+    # a support this wide refuses every frequency, but an empty batch has none
+    wide = CurveDensity.from_density(gaussian(), support_radius=30.0)
+    values, errors = exp_curve_ft_many(wide, [], [])
+    assert (values.shape, errors.shape) == ((0,), (0,))
+    with pytest.raises(OscillationBudgetError):
+        exp_curve_ft_many(wide, [0.0], [0.0])
 
 
 @pytest.mark.parametrize("case", ("axis", "slant"))
