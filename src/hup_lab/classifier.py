@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .config import TOL
-from .sympoly import UnimodularTuple, complete_homogeneous
+from .sympoly import UnimodularTuple, _power_contract, complete_homogeneous
 
 __all__ = [
     "LambdaSet",
@@ -141,10 +141,7 @@ def classify_fiber(
     it can come out class ``n + 1``; a fiber every subset keeps under it is
     never class ``n + 2``.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if p < n + 1:
-        raise ValueError("the trailing power must satisfy p >= n + 1")
+    _power_contract(n, p)
     etas = tuple(float(e) for e in etas)
     if not etas:
         raise ValueError("fiber is empty")

@@ -42,6 +42,7 @@ from .curves import (
     construct_single_line_witness,
     exp_curve_ft_many,
     standard_witness_profile,
+    surface_ft,
 )
 from .errors import DegenerateWitnessError, HupLabError
 from .linsys import (
@@ -563,12 +564,9 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
         profile = _or(p["profile"], lambda: standard_witness_profile(c))
         first = construct_single_line_witness(c, profile)
         x1, x3 = axis_vals, c * axis_vals  # the hyperplane x3 = c*x1
-    # the kernel factorises: tau's transform at (x1, x3) times h's at (x2, x3)
-    first_ft, _ = exp_curve_ft_many(first, x1, x3, abs_tol=p["quad_tol"])
-    second_ft, _ = exp_curve_ft_many(
-        second, axis_vals[None, :], x3[:, None], abs_tol=p["quad_tol"]
-    )
-    worst = float(np.max(np.abs(first_ft[:, None] * second_ft)))
+    grid = (x1[:, None], axis_vals[None, :], x3[:, None])
+    surface = surface_ft(first, second, grid, abs_tol=p["quad_tol"])
+    worst = float(np.max(np.abs(surface.value)))
     checks = [_check("hyperplane_max", worst, "<=", p["tolerance"])]
     return [], checks
 

@@ -150,14 +150,21 @@ def _root_beyond(
     """Root of ``fun`` on the ``direction`` side (+1 or -1) of ``anchor``.
 
     The far end steps out by 1, 2, 4, ... until ``fun`` changes sign
-    there, and the bracket goes to :func:`_bracketed_root`.
+    there, and the bracket goes to :func:`_bracketed_root`.  A search whose
+    far end overflows ``exp(t**2)`` (``|t| > 26.6``) first is refused.
     """
     positive = fun(anchor) > 0
     step = 1.0
     far = anchor + direction * step
-    while (fun(far) > 0) == positive:
-        step *= 2.0
-        far = anchor + direction * step
+    try:
+        while (fun(far) > 0) == positive:
+            step *= 2.0
+            far = anchor + direction * step
+    except OverflowError:
+        raise ValueError(
+            f"the outward root search from t = {anchor:.6g} left the float range "
+            f"of exp(t**2) at t = {far:.6g} before finding a sign change"
+        ) from None
     return _bracketed_root(fun, dfun, min(anchor, far), max(anchor, far), ftol)
 
 
@@ -390,11 +397,12 @@ def _refined_sums(fun, chunks, abs_tol, x=None, y=None):
     or a single plain sum when ``x`` is None.
 
     Each frequency keeps its own error estimate, ``|K15 - G7|`` summed over
-    the panels.  The ones still above ``abs_tol`` are summed again on twice
-    the panels, and the call refuses if five passes do not bring every one
-    within it.  The fifth pass cuts each first-pass panel into 16, so its
-    panels turn the phase by at most pi/32.  Over no chunks the first pass
-    gives zeros, so an empty support needs no case of its own.
+    the panels.  The ones not yet within ``abs_tol`` (a NaN estimate or
+    tolerance never is) are summed again on twice the panels, and the call
+    refuses if five passes do not bring every one within it.  The fifth
+    pass cuts each first-pass panel into 16, so its panels turn the phase
+    by at most pi/32.  Over no chunks the first pass gives zeros, so an
+    empty support needs no case of its own.
     """
     count = 1 if x is None else len(x)
     values = np.zeros(count, dtype=complex)
@@ -411,7 +419,7 @@ def _refined_sums(fun, chunks, abs_tol, x=None, y=None):
                 return np.exp(-1j * math.pi * turn)
 
         values[todo], errors[todo] = _paired_sums(fun, layout, kernel, len(todo))
-        todo = todo[errors[todo] > abs_tol]
+        todo = todo[~(errors[todo] <= abs_tol)]
         if not todo.size:
             return values, errors
     raise OscillationBudgetError(
@@ -601,27 +609,29 @@ def construct_single_line_witness(c: float, phi: Density) -> CurveDensity:
 def surface_ft(
     tau_density: CurveDensity,
     h_density: CurveDensity,
-    x: Sequence[float],
+    x: Sequence,
     *,
     abs_tol: float = TOL.quad_abs,
 ) -> QuadResult:
     """Transform of the separable density ``tau(u1)*h(u2)`` on the surface
-    ``x3 = exp(u1**2) + exp(u2**2)`` at a frequency 3-vector.
+    ``x3 = exp(u1**2) + exp(u2**2)`` at the frequencies ``(x1, x2, x3)``,
+    whose three components broadcast together.
 
     The kernel ``exp(-i*pi*(x1*u1 + x2*u2 + x3*(exp(u1^2) + exp(u2^2))))``
     factorises over the two coordinates, so the tensor-product panel rule
-    collapses to the product of two curve transforms; the error bound
-    combines both factors' estimates.
+    collapses to the product of two curve transforms: tau's over the
+    broadcast of ``(x1, x3)`` and h's over that of ``(x2, x3)``, one batch
+    each.  The error bound combines both factors' estimates.  A scalar
+    frequency gives Python scalars, and arrays give arrays of the broadcast
+    shape.
     """
-    x = tuple(float(v) for v in x)
     if len(x) != 3:
         raise ValueError("need a frequency 3-vector (x1, x2, x3)")
-    first = exp_curve_ft(tau_density, x[0], x[2], abs_tol=abs_tol)
-    second = exp_curve_ft(h_density, x[1], x[2], abs_tol=abs_tol)
-    value = first.value * second.value
-    error = (
-        abs(first.value) * second.error
-        + abs(second.value) * first.error
-        + first.error * second.error
-    )
-    return QuadResult(value, error)
+    x1, x2, x3 = x
+    first, first_err, second, second_err = map(_scalar_or_array, (
+        *exp_curve_ft_many(tau_density, x1, x3, abs_tol=abs_tol),
+        *exp_curve_ft_many(h_density, x2, x3, abs_tol=abs_tol),
+    ))
+    # a scalar factor stays a Python scalar, so its product rounds as Python's
+    error = abs(first) * second_err + abs(second) * first_err + first_err * second_err
+    return QuadResult(first * second, error)

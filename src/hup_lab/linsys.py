@@ -8,14 +8,17 @@ complex nodes; the uniqueness-pair applications feed in unimodular ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .config import TOL
 from .errors import IllConditionedError
-from .sympoly import UnimodularTuple, _coerce, elementary_symmetric, h_difference
+from .sympoly import UnimodularTuple, _coerce, _power_contract
+from .sympoly import elementary_symmetric, h_difference
 
 __all__ = [
     "PowerSystem",
@@ -48,12 +51,14 @@ def vandermonde_det(nodes) -> complex:
     Computed as the closed-form product over index pairs
     ``prod_{i<j} (a_j - a_i)``; empty and single-node inputs give 1.
     """
-    vals = _coerce(nodes)
-    out = 1 + 0j
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            out *= vals[j] - vals[i]
-    return out
+    pairs = combinations(_coerce(nodes), 2)
+    return math.prod((b - a for a, b in pairs), start=1 + 0j)
+
+
+def _powers(nodes, powers) -> np.ndarray:
+    """The matrix ``nodes[i] ** powers[j]``."""
+    a = np.asarray(nodes, dtype=complex)
+    return a[:, None] ** np.asarray(powers, dtype=int)[None, :]
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,10 @@ class PowerSystem:
         return cls(vals, tuple(range(m)), m)
 
     def matrix(self) -> np.ndarray:
-        a = np.asarray(self.nodes, dtype=complex)
-        powers = np.asarray(self.column_powers, dtype=int)
-        return a[:, None] ** powers[None, :]
+        return _powers(self.nodes, self.column_powers)
 
     def rhs(self) -> np.ndarray:
-        a = np.asarray(self.nodes, dtype=complex)
-        return -(a**self.target_power)
+        return -_powers(self.nodes, (self.target_power,))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,8 @@ def canonical_coefficients(nodes) -> tuple[complex, ...]:
 def power_column_matrix(betas, n: int, p: int) -> np.ndarray:
     """The ``(n+2) x (n+2)`` matrix with power columns ``0..n`` and ``p``."""
     vals = _coerce(betas)
-    if len(vals) != n + 2:
-        raise ValueError("need exactly n + 2 nodes")
-    if p < n + 1:
-        raise ValueError("the trailing power must satisfy p >= n + 1")
-    a = np.asarray(vals, dtype=complex)
-    powers = np.asarray(list(range(n + 1)) + [p], dtype=int)
-    return a[:, None] ** powers[None, :]
+    _power_contract(n, p, len(vals))
+    return _powers(vals, (*range(n + 1), p))
 
 
 @dataclass(frozen=True)
@@ -158,10 +155,7 @@ class Reduction:
     pivots: tuple[complex, ...]
 
     def pivot_product(self) -> complex:
-        out = 1 + 0j
-        for piv in self.pivots:
-            out *= piv
-        return out
+        return math.prod(self.pivots, start=1 + 0j)
 
 
 def triangularize_power_system(betas, n: int, p: int) -> Reduction:
@@ -198,13 +192,8 @@ def final_pivot_formula(betas, n: int, p: int) -> complex:
     only the orientation, never the magnitude, is convention-dependent.
     """
     vals = _coerce(betas)
-    if len(vals) != n + 2:
-        raise ValueError("need exactly n + 2 nodes")
-    if p < n + 1:
-        raise ValueError("the trailing power must satisfy p >= n + 1")
-    prod = 1 + 0j
-    for j in range(n):
-        prod *= vals[n + 1] - vals[j]
+    _power_contract(n, p, len(vals))
+    prod = math.prod((vals[n + 1] - b for b in vals[:n]), start=1 + 0j)
     return h_difference(p - n, vals[:n], vals[n + 1], vals[n]) * prod
 
 
@@ -215,12 +204,7 @@ def hup_discriminant(etas: Sequence[float], n: int, p: int) -> float:
     this is ``|h_{p-n}(a_0..a_n) - h_{p-n}(a_0..a_{n-1}, a_{n+1})|``.
     Symmetric in the first ``n`` phases and in swapping the last two.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if p < n + 1:
-        raise ValueError("the trailing power must satisfy p >= n + 1")
     etas = tuple(float(e) for e in etas)
-    if len(etas) != n + 2:
-        raise ValueError("need exactly n + 2 phases")
+    _power_contract(n, p, len(etas), "phases")
     a = UnimodularTuple.from_phases(etas).values
     return abs(h_difference(p - n, a[:n], a[n], a[n + 1]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .config import TOL
@@ -40,7 +41,7 @@ class UnimodularTuple:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        object.__setattr__(self, "values", _coerce(self.values))
 
     @classmethod
     def from_phases(cls, etas: Iterable[float]) -> "UnimodularTuple":
@@ -55,13 +56,8 @@ class UnimodularTuple:
 
     def min_gap(self) -> float:
         """Smallest pairwise distance; ``inf`` for fewer than two points."""
-        vals = self.values
-        if len(vals) < 2:
-            return math.inf
         return min(
-            abs(vals[i] - vals[j])
-            for i in range(len(vals))
-            for j in range(i + 1, len(vals))
+            (abs(a - b) for a, b in combinations(self.values, 2)), default=math.inf
         )
 
     def __len__(self) -> int:
@@ -80,6 +76,16 @@ def _coerce(xs) -> tuple[complex, ...]:
     return tuple(complex(x) for x in xs)
 
 
+def _power_contract(n: int, p: int, count: int | None = None, items: str = "nodes"):
+    """Refuse ``n < 0``, ``p < n + 1`` and a given ``count`` other than ``n + 2``."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if p < n + 1:
+        raise ValueError("the trailing power must satisfy p >= n + 1")
+    if count is not None and count != n + 2:
+        raise ValueError(f"need exactly n + 2 {items}")
+
+
 def complete_homogeneous(k: int, xs: Sequence[complex] | UnimodularTuple) -> complex:
     """Complete homogeneous symmetric polynomial ``h_k`` of ``xs``.
 
@@ -88,14 +94,9 @@ def complete_homogeneous(k: int, xs: Sequence[complex] | UnimodularTuple) -> com
     """
     if k < 0:
         raise ValueError("degree k must be non-negative")
-    vals = _coerce(xs)
-    if k == 0:
-        return 1 + 0j
-    if not vals:
-        return 0j
     table = [0j] * (k + 1)
     table[0] = 1 + 0j
-    for x in vals:
+    for x in _coerce(xs):
         for kk in range(1, k + 1):
             # table[kk-1] already holds h_{kk-1} including x, as required
             table[kk] += x * table[kk - 1]
@@ -112,8 +113,6 @@ def elementary_symmetric(k: int, xs: Sequence[complex] | UnimodularTuple) -> com
     if k < 0:
         raise ValueError("degree k must be non-negative")
     vals = _coerce(xs)
-    if k == 0:
-        return 1 + 0j
     if k > len(vals):
         return 0j
     table = [0j] * (k + 1)

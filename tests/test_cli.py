@@ -213,13 +213,23 @@ def test_precondition_errors_exit_two(tmp_path):
         ("kind = cross_witness\ndensities = [[{\"kind\": \"gaussian\"}], []]\n",
          "densities must hold n + 1 = 1 densities, not 2"),
         ("kind = cross_witness\nn = -1\n", "n must be at least 0"),
+        ("kind = reduce\netas = [0.3]\nn = -1\np = 0\n", "n must be non-negative"),
+        # each phase root search would step past |t| = 26.6, where exp(t**2) overflows
+        ("kind = exp_curve_witness\nc = 1e-120\n", "outward root search"),
+        ("kind = surface_witness\ncase = slant\npoints = 2\nc = 1e-120\n",
+         "outward root search"),
+        ("kind = surface_witness\ncase = slant\npoints = 2\nprofile = ["
+         '{"kind": "triangle", "center": 1e56, "width": 0.5, "amplitude": 1}, '
+         '{"kind": "triangle", "center": -1e56, "width": 0.5, "amplitude": -1}]\n',
+         "outward root search"),
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
          "cross_without_densities", "consecutive_without_n", "grid_without_measure",
          "xi_axis_nonzero_mean", "xi_axis_zero_density", "one_surface_point",
          "zero_step", "max_below_min", "no_kind", "no_cross_grid_points",
          "empty_cross_densities", "diagonal_densities_not_n_plus_one",
-         "diagonal_negative_n"],
+         "diagonal_negative_n", "reduce_negative_n", "curve_tiny_slope",
+         "slant_tiny_slope", "slant_far_profile"],
 )
 def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
     assert main(["run", write(tmp_path, "r.scenario", text)]) == 2

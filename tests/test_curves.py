@@ -79,6 +79,12 @@ def test_phase_rejects_zero_slope():
         line_phase(0.0)
 
 
+def test_phase_refuses_a_minimiser_search_past_the_range_of_exp():
+    # t_min lies near -16.5; the search's far end at -32 overflows exp(t**2)
+    with pytest.raises(ValueError, match="outward root search"):
+        line_phase(1e-120)
+
+
 def test_inverse_at_minimum_returns_argmin():
     g = line_phase(1.0)
     assert g.inverse(g.h_min, "left") == pytest.approx(g.t_min)
@@ -397,6 +403,13 @@ def test_zero_density_transforms_to_an_exact_zero():
         exp_curve_ft(zero, 1.0, 0.5, abs_tol=-1.0)
 
 
+def test_a_nan_tolerance_is_never_met():
+    # one pass estimates 8.3e-3 here; no estimate compares above a NaN
+    g = CurveDensity.from_density(gaussian(0.3, 0.004))
+    with pytest.raises(OscillationBudgetError, match="exceeds the tolerance nan"):
+        exp_curve_ft_many(g, [6.0], [0.0], abs_tol=float("nan"))
+
+
 # ------------------------------------------------------ the batched engine
 
 
@@ -535,14 +548,11 @@ def test_surface_outer_product_matches_surface_ft(case):
     else:
         first = construct_single_line_witness(1.0, standard_witness_profile(1.0))
         x1, x3 = grid, 1.0 * grid
-    first_ft, first_err = exp_curve_ft_many(first, x1, x3)
-    second_ft, second_err = exp_curve_ft_many(second, grid[None, :], x3[:, None])
-    assert second_ft.shape == second_err.shape == (7, 7)
-    product = first_ft[:, None] * second_ft
-    bound = np.abs(first_ft[:, None]) * second_err + np.abs(second_ft) * first_err[:, None]
-    for i, j in np.ndindex(product.shape):
+    surface = surface_ft(first, second, (x1[:, None], grid[None, :], x3[:, None]))
+    assert surface.value.shape == surface.error.shape == (7, 7)
+    for i, j in np.ndindex(surface.value.shape):
         want = surface_ft(first, second, (x1[i], grid[j], x3[i]))
-        assert abs(product[i, j] - want.value) <= bound[i, j] + want.error
+        assert abs(surface.value[i, j] - want.value) <= surface.error[i, j] + want.error
 
 
 def test_absolute_mass_cuts_at_a_sign_change():

@@ -6,6 +6,7 @@ from hup_lab import (
     PowerSystem,
     UnimodularTuple,
     canonical_coefficients,
+    classify_fiber,
     final_pivot_formula,
     h_difference,
     hup_discriminant,
@@ -247,3 +248,35 @@ def test_discriminant_validates_shapes():
     with pytest.raises(ValueError):
         hup_discriminant([0.0, 0.5, 1.0], 1, 1)  # p below n+1
     assert np.isfinite(hup_discriminant([0.0, 0.5, 1.0, 1.5, 1.9], 3, 12))
+
+
+def _on_nodes(f):
+    return lambda etas, n, p: f(UnimodularTuple.from_phases(etas), n, p)
+
+
+# every entry point of the power-column system refuses the same (n, p, count)
+# inputs; a fiber may hold any number of phases, so only none is too few
+@pytest.mark.parametrize(
+    "call",
+    [
+        _on_nodes(power_column_matrix),
+        _on_nodes(final_pivot_formula),
+        _on_nodes(triangularize_power_system),
+        hup_discriminant,
+        classify_fiber,
+    ],
+    ids=["power_column_matrix", "final_pivot_formula", "triangularize_power_system",
+         "hup_discriminant", "classify_fiber"],
+)
+@pytest.mark.parametrize(
+    "etas, n, p, cause",
+    [
+        ((0.3,), -1, 0, "n must be non-negative"),
+        ((0.0, 0.5, 1.0), 1, 1, r"p >= n \+ 1"),
+        ((), 1, 3, r"need exactly n \+ 2|fiber is empty"),
+    ],
+    ids=["negative_n", "p_equals_n", "wrong_count"],
+)
+def test_the_power_contract_is_enforced_everywhere(call, etas, n, p, cause):
+    with pytest.raises(ValueError, match=cause):
+        call(etas, n, p)
