@@ -617,57 +617,98 @@ def _run_reduce(p: dict) -> tuple[list[str], list[Check]]:
     return infos, checks
 
 
+# xi rows per block of an ft_grid: enough to form each level's product over
+# the block in one numpy call, few enough that a block's arrays stay a small
+# transient beside the CSV write
+_ROWS = 8
+
+
 def _grid_rows(p: dict):
     """Axes, lambda heights and transform rows of an ft_grid scenario.
 
-    Returns ``(xi, eta, lambda_heights, rows)``; ``rows`` yields the
-    complex transform over ``eta`` at each ``xi`` in turn, with its
-    magnitudes.  The lambda heights are the scenario's, or the witness grid
-    for consecutive witnesses, and may be None.
+    Returns ``(xi, eta, lambda_heights, blocks)``; ``blocks`` yields at
+    most ``_ROWS`` xi rows at a time as ``(xs, values, mags)``: the xi
+    values, the complex transform over ``eta`` at each (one row per xi) and
+    its magnitudes.  The lambda heights are the scenario's, or the witness
+    grid for consecutive witnesses, and may be None.
     """
     heights = p["lambda_heights"]
     if p["measure"] == "line":
         measure = LineMeasure(tuple(p["heights"]), tuple(p["densities"]))
-        transform = line_system_ft
     elif p["measure"] == "cross":
         densities = p["densities"]
         if not densities:
             raise ScenarioError("densities must hold at least one density")
         measure = construct_cross_diagonal_witness(len(densities) - 1, densities)
-        transform = cross_ft
     elif p["measure"] == "consecutive_witness":
         measure, lam = _consecutive_witness(p)
         if heights is None:
             heights = list(lam)
-        transform = line_system_ft
     xi, eta = _grids(p, "xi", "eta")
-    # one call per xi, not one over the whole axis: on numpy scalars the
-    # triangle transform's ``** 2`` and an atom's complex amplitude times
-    # its phase round differently from the same operations on an array
-    return xi, eta, heights, (_row(transform(measure, float(x), eta)) for x in xi)
+    # each level keeps its eta factors for the whole grid, refused before
+    # they are formed when that is more than GRID_CAP values
+    count = {"line": "heights", "cross": "densities", "consecutive_witness": "n"}
+    _capped(len(measure.densities) * len(eta), f"{count[p['measure']]} and eta_step")
+    cross = p["measure"] == "cross"
+    if cross:
+        levels = enumerate(measure.densities)
+    else:
+        levels = zip(measure.heights, measure.densities)
+    # The factors no xi changes, formed once per grid as line_system_ft and
+    # cross_ft form them: the phase of level h's horizontal line and, on a
+    # cross, the transform of its density along the vertical line.
+    fixed = [
+        (h, np.exp(-1j * math.pi * h * eta), f, f.ft(eta) if cross else None)
+        for h, f in levels
+    ]
+    return xi, eta, heights, _blocks(fixed, xi, len(eta))
 
 
-def _row(values) -> tuple[list[complex], list[float]]:
-    """One grid row and its magnitudes, which the report and the CSV share.
+def _blocks(fixed, xi: np.ndarray, width: int):
+    """The rows of ``_grid_rows``, summed level by level in the order and
+    with the operations of a one-xi ``line_system_ft`` or ``cross_ft`` call.
 
-    ``np.hypot`` of the parts rounds as Python's ``abs`` of a complex does;
-    ``np.abs`` of a complex array may differ from both in the last bit.
+    The factors that vary with xi stay one call per xi, not one over the
+    block: on numpy scalars the triangle transform's ``** 2``, an atom's
+    complex amplitude times its phase and ``exp`` round differently from
+    the same operations on an array.  The products run on the block's rows
+    laid end to end, since a complex product whose result is one element
+    of a 2-D array (one row by one eta value) may round differently from
+    the same product in a 1-D array.  ``np.hypot`` of the parts rounds as
+    Python's ``abs`` of a complex does; ``np.abs`` may differ from both in
+    the last bit.
     """
-    values = np.asarray(values, dtype=complex)
-    return values.tolist(), np.hypot(values.real, values.imag).tolist()
+    for start in range(0, len(xi), _ROWS):
+        xs = xi[start:start + _ROWS]
+        points = [np.asarray(x) for x in xs.tolist()]  # 0-d, as a call takes xi
+        total = np.zeros(len(xs) * width, dtype=complex)
+        for h, phase, f, along in fixed:
+            term = np.tile(phase, len(xs)) * np.repeat([f.ft(x) for x in points], width)
+            if along is not None:
+                shift = [np.exp(-1j * math.pi * h * x) for x in points]
+                term = term - np.repeat(shift, width) * np.tile(along, len(xs))
+            total = total + term
+        values = total.reshape(len(xs), width)
+        yield xs, values, np.hypot(values.real, values.imag)
 
 
 def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
-    xi, eta, lambda_heights, rows = _grid_rows(p)
+    xi, eta, lambda_heights, blocks = _grid_rows(p)
     heights = lambda_heights or []
-    on_lambda = [
-        j for j, e in enumerate(eta) if any(abs(e - h) <= TOL.merge for h in heights)
-    ]
-    total_max = 0.0
-    lambda_max = 0.0
-    for _, mags in rows:
-        total_max = max(total_max, *mags)
-        lambda_max = max([lambda_max, *(mags[j] for j in on_lambda)])
+    on_lambda = np.zeros(len(eta), dtype=bool)
+    for h in heights:
+        near = np.abs(eta - h) <= TOL.merge
+        if not near.any():
+            raise ScenarioError(
+                f"lambda height {h} has no eta row within {TOL.merge:g} of it"
+            )
+        on_lambda |= near
+    # np.maximum, unlike max(), carries a NaN magnitude into the report
+    total_max = lambda_max = 0.0
+    for _, _, mags in blocks:
+        total_max = np.maximum(total_max, mags.max())
+        if heights:
+            lambda_max = np.maximum(lambda_max, mags[:, on_lambda].max())
     infos = [f"grid_rows {len(xi) * len(eta)}", f"max_abs {total_max:.17g}"]
     checks = []
     if heights:
@@ -709,21 +750,22 @@ def emit_grid(scenario: Scenario, out_path: str) -> int:
     """Write the CSV grid of an ``ft_grid`` scenario; returns the row count.
 
     Columns are ``xi,eta,re,im,abs`` with 17 significant digits, rows in
-    row-major order (xi outer, eta inner).  Each axis value is formatted
-    once and each xi's lines go out in one write.
+    row-major order (xi outer, eta inner).  One template per grid holds
+    every eta's line with its eta formatted once; each xi row fills in its
+    xi and its values and goes out in one write.
     """
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
-    xi, eta, _, rows = _grid_rows(_resolve(scenario)[1])
-    etas = [f"{e:.17g}" for e in eta.tolist()]
+    xi, eta, _, blocks = _grid_rows(_resolve(scenario)[1])
+    template = "".join(f"\0,{e:.17g},%.17g,%.17g,%.17g\n" for e in eta.tolist())
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("xi,eta,re,im,abs\n")
-        for x, (vals, mags) in zip(xi.tolist(), rows):
-            x = f"{x:.17g}"
-            fh.write("".join([
-                f"{x},{e},{v.real:.17g},{v.imag:.17g},{m:.17g}\n"
-                for e, v, m in zip(etas, vals, mags)
-            ]))
+        for xs, values, mags in blocks:
+            table = np.stack((values.real, values.imag, mags), axis=-1)
+            # one row's floats at a time: a whole block's list is a transient
+            # the size of the block
+            for x, row in zip(xs.tolist(), table.reshape(len(xs), -1)):
+                fh.write(template.replace("\0", f"{x:.17g}") % tuple(row.tolist()))
     return len(xi) * len(eta)
 
 

@@ -429,6 +429,18 @@ def test_grid_cap_counts_each_axis_and_their_product(tmp_path, monkeypatch):
     wider = FAST_GRID.replace("eta_step = 0.5", "eta_step = 0.4")  # 5 x 6 points
     with pytest.raises(ScenarioError, match="^xi_step and eta_step must be"):
         run_scenario(parse_scenario_text(wider))
+    # each level's eta factors: 3 levels by 11 eta values on one xi
+    one_xi = "xi_min = 0.0\nxi_max = 0.0\neta_step = 0.2\n"
+    for levels, key in [
+        ("measure = consecutive_witness\nn = 1\n", "n"),
+        ("measure = line\nheights = [0, 1, 2]\ndensities = [[], [], []]\n", "heights"),
+        ('measure = cross\ndensities = [[{"kind": "gaussian"}], [], []]\n', "densities"),
+    ]:
+        text = "kind = ft_grid\n" + levels + one_xi
+        with pytest.raises(ScenarioError, match=f"^{key} and eta_step must be"):
+            run_scenario(parse_scenario_text(text))
+        fewer = text.replace("eta_step = 0.2", "eta_step = 0.3")  # 3 x 7 values
+        assert emit_grid(parse_scenario_text(fewer), str(tmp_path / "f.csv")) == 7
     line = "kind = consecutive_witness\nn = 1\nxi_min = 0\nxi_step = 1\nxi_max = "
     assert run_scenario(parse_scenario_text(line + "24\n")).overall  # 25 points
     with pytest.raises(ScenarioError, match="^xi_step must be"):
@@ -600,6 +612,48 @@ def test_grid_csv_matches_field_by_field_oracle(tmp_path, name):
     rows = emit_grid(load_scenario(write(tmp_path, "g.scenario", text)), str(out))
     assert rows == len(xi) * len(eta)
     assert out.read_bytes() == _oracle_csv(transform, measure, xi, eta)
+
+
+# Measures for the blocked rows: complex amplitudes, a zero middle density
+# and non-integer line heights.
+BLOCK_MEASURES = {
+    "line": (
+        {"measure": "line", "heights": [-0.7, 0.4, 1.9],
+         "densities": [measures.triangle(0.3, 0.8, 0.5 - 1.0j), measures.zero_density(),
+                       measures.box(-0.2, 1.1) + measures.odd_bump(0.1, 0.6, -0.3j)]},
+        lambda d: (line_system_ft, LineMeasure((-0.7, 0.4, 1.9), tuple(d["densities"]))),
+    ),
+    "cross": (
+        {"measure": "cross",
+         "densities": [measures.gaussian(0.5, 0.7, 0.3 - 1.2j), measures.zero_density(),
+                       measures.triangle(-0.4, 0.9, 1.0 + 0.25j)]},
+        lambda d: (cross_ft, construct_cross_diagonal_witness(2, d["densities"])),
+    ),
+}
+
+
+@pytest.mark.parametrize("eta_count", [1, 13])
+@pytest.mark.parametrize("xi_count", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("name", sorted(BLOCK_MEASURES))
+def test_grid_blocks_match_one_xi_calls_bitwise(name, xi_count, eta_count):
+    given, build = BLOCK_MEASURES[name]
+    p = dict(given, lambda_heights=None, xi_min=-3.05, xi_step=0.1, eta_min=-0.35,
+             eta_step=0.15)
+    p["xi_max"] = p["xi_min"] + p["xi_step"] * (xi_count - 0.5)
+    p["eta_max"] = p["eta_min"] + p["eta_step"] * (eta_count - 0.5)
+    xi, eta, _, blocks = cli._grid_rows(p)
+    blocks = list(blocks)
+    sizes = [len(xs) for xs, _, _ in blocks]
+    assert sizes[:-1] == [cli._ROWS] * (len(blocks) - 1) and 1 <= sizes[-1] <= cli._ROWS
+    assert np.concatenate([xs for xs, _, _ in blocks]).tolist() == xi.tolist()
+    values = np.concatenate([v for _, v, _ in blocks])
+    mags = np.concatenate([m for _, _, m in blocks])
+    assert values.shape == mags.shape == (xi_count, eta_count)
+    transform, measure = build(given)
+    want = np.array([transform(measure, float(x), eta) for x in xi], dtype=complex)
+    assert (values.view(np.uint64) == want.view(np.uint64)).all()
+    want_mags = np.array([[abs(v) for v in row] for row in want.tolist()])
+    assert (mags.view(np.uint64) == want_mags.view(np.uint64)).all()
 
 
 @pytest.mark.parametrize(
@@ -778,6 +832,49 @@ def test_ft_grid_report_agrees_with_its_csv(tmp_path, name):
     (check,) = report.checks
     assert check.name == "lambda_rows_max"
     assert check.measured == max(on_lambda)
+
+
+OFF_GRID_LINE = (
+    "kind = ft_grid\nmeasure = line\nheights = [0, 1]\n"
+    'densities = [[{"kind": "gaussian"}], [{"kind": "gaussian", "amplitude": -1.0}]]\n'
+    "xi_step = 0.5\neta_step = 0.25\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, height",
+    [
+        (OFF_GRID_LINE + "lambda_heights = [0.0, 0.3]\n", "0.3"),
+        # the n = 2 witness grid is 0, 2/3 and 4/3; the eta grid steps by 0.5
+        ("kind = ft_grid\nmeasure = consecutive_witness\nn = 2\n"
+         "xi_step = 0.5\neta_step = 0.5\n", "0.6666666666666666"),
+    ],
+    ids=["given", "witness"],
+)
+def test_off_grid_lambda_height_is_refused(tmp_path, capsys, text, height):
+    # a height with no eta row would leave lambda_rows_max nothing to check
+    path = write(tmp_path, "g.scenario", text)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert f"lambda height {height} has no eta row" in captured.err
+    # the CSV reads no lambda heights
+    assert main(["grid", path, "--out", str(tmp_path / "g.csv"), "--quiet"]) == 0
+
+
+def test_nan_magnitude_reaches_the_report():
+    # w * w overflows, so the transform at xi = 0 is inf * 0
+    wide = [{"kind": "gaussian", "width": 1e200}]
+    text = (
+        "kind = ft_grid\nmeasure = line\nheights = [0.0]\n"
+        f"densities = [{json.dumps(wide)}]\nlambda_heights = [0.0]\n"
+        "xi_min = -1\nxi_max = 1\nxi_step = 1\neta_step = 1\n"
+    )
+    with np.errstate(all="ignore"):
+        report = run_scenario(parse_scenario_text(text))
+    assert "max_abs nan" in report.infos
+    assert "lambda_rows_max measured=nan" in report.render()
+    assert not report.overall
 
 
 def test_cli_runs_without_scipy():
