@@ -56,6 +56,7 @@ from .measures import (
     Density,
     DensityAtom,
     LineMeasure,
+    _ft_rows,
     construct_consecutive_witness,
     construct_cross_diagonal_witness,
     cross_ft,
@@ -202,6 +203,12 @@ def _power(key: str, value) -> int:
     return power
 
 
+def _axis(name: str, lo: float, hi: float, step: float) -> dict[str, tuple]:
+    """The schema of a stepped axis: ``<name>_min``, ``_max`` and ``_step``."""
+    keys = (f"{name}_min", f"{name}_max", f"{name}_step")
+    return {key: (_real, default) for key, default in zip(keys, (lo, hi, step))}
+
+
 # Per kind, each key's converter and default; null selects the default only
 # where the default is null.  A kind listed in _CASES holds here only the
 # keys that all of its cases share.
@@ -209,9 +216,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "consecutive_witness": {
         "n": (_whole, _REQUIRED),
         "seed_density": (_density, None),
-        "xi_min": (_real, -10.0),
-        "xi_max": (_real, 10.0),
-        "xi_step": (_real, 0.02),
+        **_axis("xi", -10.0, 10.0, 0.02),
         "tolerance": (_real, TOL.grid_vanish),
     },
     "cross_witness": {
@@ -221,9 +226,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "exp_curve_witness": {
         "c": (_real, _REQUIRED),
         "d": (_real, 1.0),
-        "x_min": (_real, -5.0),
-        "x_max": (_real, 5.0),
-        "x_step": (_real, 0.02),
+        **_axis("x", -5.0, 5.0, 0.02),
         "quad_tol": (_real, TOL.quad_abs),
         "tolerance": (_real, TOL.curve_vanish),
     },
@@ -255,12 +258,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "ft_grid": {
         "lambda_heights": (_reals, None),
-        "xi_min": (_real, -10.0),
-        "xi_max": (_real, 10.0),
-        "xi_step": (_real, 0.02),
-        "eta_min": (_real, 0.0),
-        "eta_max": (_real, 2.0),
-        "eta_step": (_real, 0.5),
+        **_axis("xi", -10.0, 10.0, 0.02),
+        **_axis("eta", 0.0, 2.0, 0.5),
         "tolerance": (_real, TOL.grid_vanish),
     },
     "kronecker_check": {
@@ -443,6 +442,12 @@ _OFF_SET_FLOOR = 1e-3
 _MASS_RATIO_FLOOR = 0.1
 
 
+def _set_checks(names: tuple[str, str], on_max, off_max, tolerance) -> list[Check]:
+    """At most ``tolerance`` on the witness's set, at least ``_OFF_SET_FLOOR`` off it."""
+    on, off = names
+    return [_check(on, on_max, "<=", tolerance), _check(off, off_max, ">=", _OFF_SET_FLOOR)]
+
+
 def _random_densities(n: int, rng: np.random.Generator) -> list[Density]:
     out = []
     for _ in range(n + 1):
@@ -478,11 +483,8 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
     off_eta = 1.0 / (n + 1)  # midway between the first two grid heights
     off_max = float(np.max(np.abs(line_system_ft(measure, xi, off_eta))))
     infos = ["lambda_heights " + json.dumps(list(lam))]
-    checks = [
-        _check("on_lambda_max", on_max, "<=", p["tolerance"]),
-        _check("off_lambda_max", off_max, ">=", _OFF_SET_FLOOR),
-    ]
-    return infos, checks
+    names = ("on_lambda_max", "off_lambda_max")
+    return infos, _set_checks(names, on_max, off_max, p["tolerance"])
 
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
@@ -492,7 +494,7 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
     if p["variant"] == "diagonal":
         n = p["n"]
         if n < 0:
-            raise ScenarioError("n must be at least 0")
+            raise ScenarioError("n must be non-negative")
         # n + 1 levels on grid_points points, refused before any level is drawn
         _capped((n + 1) * p["grid_points"], "n and grid_points")
         densities = p["densities"]
@@ -512,11 +514,7 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
         names, on_eta, off_eta = ("axis_max", "off_axis_max"), 0.0, 0.5
     vanish = float(np.max(np.abs(cross_ft(measure, t, on_eta))))
     off = float(np.max(np.abs(cross_ft(measure, t, off_eta))))
-    checks = [
-        _check(names[0], vanish, "<=", p["tolerance"]),
-        _check(names[1], off, ">=", _OFF_SET_FLOOR),
-    ]
-    return [], checks
+    return [], _set_checks(names, vanish, off, p["tolerance"])
 
 
 def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
@@ -535,12 +533,16 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     ).value.real
     ratio = g_mass / phi_mass if phi_mass > 0 else math.inf
     infos = [f"quad_error_max {est_max:.17g}"]
-    checks = [
-        _check("on_line_max", on_max, "<=", p["tolerance"]),
-        _check("mass_ratio", ratio, ">=", _MASS_RATIO_FLOOR),
-        _check("off_line_max", off_max, ">=", _OFF_SET_FLOOR),
-    ]
-    return infos, checks
+    on, off = _set_checks(("on_line_max", "off_line_max"), on_max, off_max, p["tolerance"])
+    return infos, [on, _check("mass_ratio", ratio, ">=", _MASS_RATIO_FLOOR), off]
+
+
+def _surface_factor(key: str, density: Density) -> CurveDensity:
+    """The density on the curve, refused when zero there: it would zero the witness."""
+    factor = CurveDensity.from_density(density)
+    if not factor.smooth_pieces():
+        raise DegenerateWitnessError(f"surface factor {key} is zero on the curve's support")
+    return factor
 
 
 def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
@@ -548,16 +550,11 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
     if points < 2:
         raise ScenarioError("surface grid needs at least 2 points per side")
     _capped(points * points, "points")
-    h_density = _or(p["h_density"], triangle)
-    if h_density.is_zero():
-        raise DegenerateWitnessError("surface factor h_density is zero")
-    second = CurveDensity.from_density(h_density)
+    second = _surface_factor("h_density", _or(p["h_density"], triangle))
     axis_vals = np.linspace(-3.0, 3.0, points)
     if p["case"] == "axis":
         psi = _or(p["psi_density"], lambda: odd_pair(triangle(center=1.0, width=0.8)))
-        if psi.is_zero():
-            raise DegenerateWitnessError("surface factor psi_density is zero")
-        first = CurveDensity.from_density(psi)
+        first = _surface_factor("psi_density", psi)
         x1, x3 = np.zeros(points), axis_vals  # the hyperplane x1 = 0
     elif p["case"] == "slant":
         c = p["c"]
@@ -617,21 +614,9 @@ def _run_reduce(p: dict) -> tuple[list[str], list[Check]]:
     return infos, checks
 
 
-# xi rows per block of an ft_grid: enough to form each level's product over
-# the block in one numpy call, few enough that a block's arrays stay a small
-# transient beside the CSV write
-_ROWS = 8
-
-
 def _grid_rows(p: dict):
-    """Axes, lambda heights and transform rows of an ft_grid scenario.
-
-    Returns ``(xi, eta, lambda_heights, blocks)``; ``blocks`` yields at
-    most ``_ROWS`` xi rows at a time as ``(xs, values, mags)``: the xi
-    values, the complex transform over ``eta`` at each (one row per xi) and
-    its magnitudes.  The lambda heights are the scenario's, or the witness
-    grid for consecutive witnesses, and may be None.
-    """
+    """``(xi, eta, lambda_heights, measures._ft_rows blocks)`` of an ft_grid
+    scenario; the heights are the scenario's, or the witness grid, or None."""
     heights = p["lambda_heights"]
     if p["measure"] == "line":
         measure = LineMeasure(tuple(p["heights"]), tuple(p["densities"]))
@@ -649,47 +634,7 @@ def _grid_rows(p: dict):
     # they are formed when that is more than GRID_CAP values
     count = {"line": "heights", "cross": "densities", "consecutive_witness": "n"}
     _capped(len(measure.densities) * len(eta), f"{count[p['measure']]} and eta_step")
-    cross = p["measure"] == "cross"
-    if cross:
-        levels = enumerate(measure.densities)
-    else:
-        levels = zip(measure.heights, measure.densities)
-    # The factors no xi changes, formed once per grid as line_system_ft and
-    # cross_ft form them: the phase of level h's horizontal line and, on a
-    # cross, the transform of its density along the vertical line.
-    fixed = [
-        (h, np.exp(-1j * math.pi * h * eta), f, f.ft(eta) if cross else None)
-        for h, f in levels
-    ]
-    return xi, eta, heights, _blocks(fixed, xi, len(eta))
-
-
-def _blocks(fixed, xi: np.ndarray, width: int):
-    """The rows of ``_grid_rows``, summed level by level in the order and
-    with the operations of a one-xi ``line_system_ft`` or ``cross_ft`` call.
-
-    The factors that vary with xi stay one call per xi, not one over the
-    block: on numpy scalars the triangle transform's ``** 2``, an atom's
-    complex amplitude times its phase and ``exp`` round differently from
-    the same operations on an array.  The products run on the block's rows
-    laid end to end, since a complex product whose result is one element
-    of a 2-D array (one row by one eta value) may round differently from
-    the same product in a 1-D array.  ``np.hypot`` of the parts rounds as
-    Python's ``abs`` of a complex does; ``np.abs`` may differ from both in
-    the last bit.
-    """
-    for start in range(0, len(xi), _ROWS):
-        xs = xi[start:start + _ROWS]
-        points = [np.asarray(x) for x in xs.tolist()]  # 0-d, as a call takes xi
-        total = np.zeros(len(xs) * width, dtype=complex)
-        for h, phase, f, along in fixed:
-            term = np.tile(phase, len(xs)) * np.repeat([f.ft(x) for x in points], width)
-            if along is not None:
-                shift = [np.exp(-1j * math.pi * h * x) for x in points]
-                term = term - np.repeat(shift, width) * np.tile(along, len(xs))
-            total = total + term
-        values = total.reshape(len(xs), width)
-        yield xs, values, np.hypot(values.real, values.imag)
+    return xi, eta, heights, _ft_rows(measure, xi, eta)
 
 
 def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
@@ -795,7 +740,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -815,7 +760,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, HupLabError, ValueError) as exc:
+    except (HupLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -271,12 +271,7 @@ class LineMeasure:
 
 def line_system_ft(measure: LineMeasure, xi, eta):
     """Transform of a line measure: sum of height-modulated 1-D transforms."""
-    xi_arr = np.asarray(xi, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
-    total = np.zeros(np.broadcast(xi_arr, eta_arr).shape, dtype=complex)
-    for h, f in zip(measure.heights, measure.densities):
-        total = total + np.exp(-1j * math.pi * h * eta_arr) * f.ft(xi_arr)
-    return _scalar_or_array(total)
+    return _levels_ft(measure, xi, eta)
 
 
 @dataclass(frozen=True)
@@ -293,15 +288,67 @@ class CrossMeasure:
 
 def cross_ft(measure: CrossMeasure, xi, eta):
     """Transform of a cross measure; antisymmetric in (xi, eta)."""
+    return _levels_ft(measure, xi, eta)
+
+
+def _levels(measure: LineMeasure | CrossMeasure) -> list[tuple[float, Density, bool]]:
+    """One ``(height, density, mirrored)`` entry per level: the density on
+    ``y = height`` and, on a mirrored (cross) level, its negative on ``x = height``."""
+    if isinstance(measure, CrossMeasure):
+        return [(k, f, True) for k, f in enumerate(measure.densities)]
+    return [(h, f, False) for h, f in zip(measure.heights, measure.densities)]
+
+
+def _levels_ft(measure: LineMeasure | CrossMeasure, xi, eta):
+    """The transform of either measure, summed level by level."""
     xi_arr = np.asarray(xi, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     total = np.zeros(np.broadcast(xi_arr, eta_arr).shape, dtype=complex)
-    for k, f in enumerate(measure.densities):
-        total = total + (
-            np.exp(-1j * math.pi * k * eta_arr) * f.ft(xi_arr)
-            - np.exp(-1j * math.pi * k * xi_arr) * f.ft(eta_arr)
-        )
+    for h, f, mirrored in _levels(measure):
+        term = np.exp(-1j * math.pi * h * eta_arr) * f.ft(xi_arr)
+        if mirrored:
+            term = term - np.exp(-1j * math.pi * h * xi_arr) * f.ft(eta_arr)
+        total = total + term
     return _scalar_or_array(total)
+
+
+# xi rows per block of grid rows: enough to form each level's product over
+# the block in one numpy call, few enough that a block's arrays stay a small
+# transient beside a CSV write
+_ROWS = 8
+
+
+def _ft_rows(measure: LineMeasure | CrossMeasure, xi: np.ndarray, eta: np.ndarray):
+    """The transform over ``xi`` by ``eta`` as ``(xs, values, mags)`` blocks of
+    at most ``_ROWS`` xi rows, bitwise a one-xi ``line_system_ft`` or ``cross_ft``.
+
+    The factors no xi changes are formed once per grid: each level's phase
+    along eta and, on a mirrored level, its density's transform along eta.
+    The factors that vary with xi stay one call per xi: on numpy scalars the
+    triangle transform's ``** 2``, an atom's complex amplitude times its
+    phase and ``exp`` round differently from the same operations on an
+    array.  The products run on the block's rows laid end to end, since a
+    complex product whose result is one element of a 2-D array may round
+    differently from the same product in a 1-D array.  ``np.hypot`` of the
+    parts rounds as Python's ``abs`` of a complex does; ``np.abs`` may not.
+    """
+    width = len(eta)
+    fixed = [
+        (h, np.exp(-1j * math.pi * h * eta), f, f.ft(eta) if mirrored else None)
+        for h, f, mirrored in _levels(measure)
+    ]
+    for start in range(0, len(xi), _ROWS):
+        xs = xi[start:start + _ROWS]
+        points = [np.asarray(x) for x in xs.tolist()]  # 0-d, as a call takes xi
+        total = np.zeros(len(xs) * width, dtype=complex)
+        for h, phase, f, along in fixed:
+            term = np.tile(phase, len(xs)) * np.repeat([f.ft(x) for x in points], width)
+            if along is not None:
+                shift = [np.exp(-1j * math.pi * h * x) for x in points]
+                term = term - np.repeat(shift, width) * np.tile(along, len(xs))
+            total = total + term
+        values = total.reshape(len(xs), width)
+        yield xs, values, np.hypot(values.real, values.imag)
 
 
 def construct_consecutive_witness(

@@ -212,7 +212,7 @@ def test_precondition_errors_exit_two(tmp_path):
          "densities must hold at least one density"),
         ("kind = cross_witness\ndensities = [[{\"kind\": \"gaussian\"}], []]\n",
          "densities must hold n + 1 = 1 densities, not 2"),
-        ("kind = cross_witness\nn = -1\n", "n must be at least 0"),
+        ("kind = cross_witness\nn = -1\n", "n must be non-negative"),
         ("kind = reduce\netas = [0.3]\nn = -1\np = 0\n", "n must be non-negative"),
         # each phase root search would step past |t| = 26.6, where exp(t**2) overflows
         ("kind = exp_curve_witness\nc = 1e-120\n", "outward root search"),
@@ -614,48 +614,6 @@ def test_grid_csv_matches_field_by_field_oracle(tmp_path, name):
     assert out.read_bytes() == _oracle_csv(transform, measure, xi, eta)
 
 
-# Measures for the blocked rows: complex amplitudes, a zero middle density
-# and non-integer line heights.
-BLOCK_MEASURES = {
-    "line": (
-        {"measure": "line", "heights": [-0.7, 0.4, 1.9],
-         "densities": [measures.triangle(0.3, 0.8, 0.5 - 1.0j), measures.zero_density(),
-                       measures.box(-0.2, 1.1) + measures.odd_bump(0.1, 0.6, -0.3j)]},
-        lambda d: (line_system_ft, LineMeasure((-0.7, 0.4, 1.9), tuple(d["densities"]))),
-    ),
-    "cross": (
-        {"measure": "cross",
-         "densities": [measures.gaussian(0.5, 0.7, 0.3 - 1.2j), measures.zero_density(),
-                       measures.triangle(-0.4, 0.9, 1.0 + 0.25j)]},
-        lambda d: (cross_ft, construct_cross_diagonal_witness(2, d["densities"])),
-    ),
-}
-
-
-@pytest.mark.parametrize("eta_count", [1, 13])
-@pytest.mark.parametrize("xi_count", [1, 7, 8, 9, 17])
-@pytest.mark.parametrize("name", sorted(BLOCK_MEASURES))
-def test_grid_blocks_match_one_xi_calls_bitwise(name, xi_count, eta_count):
-    given, build = BLOCK_MEASURES[name]
-    p = dict(given, lambda_heights=None, xi_min=-3.05, xi_step=0.1, eta_min=-0.35,
-             eta_step=0.15)
-    p["xi_max"] = p["xi_min"] + p["xi_step"] * (xi_count - 0.5)
-    p["eta_max"] = p["eta_min"] + p["eta_step"] * (eta_count - 0.5)
-    xi, eta, _, blocks = cli._grid_rows(p)
-    blocks = list(blocks)
-    sizes = [len(xs) for xs, _, _ in blocks]
-    assert sizes[:-1] == [cli._ROWS] * (len(blocks) - 1) and 1 <= sizes[-1] <= cli._ROWS
-    assert np.concatenate([xs for xs, _, _ in blocks]).tolist() == xi.tolist()
-    values = np.concatenate([v for _, v, _ in blocks])
-    mags = np.concatenate([m for _, _, m in blocks])
-    assert values.shape == mags.shape == (xi_count, eta_count)
-    transform, measure = build(given)
-    want = np.array([transform(measure, float(x), eta) for x in xi], dtype=complex)
-    assert (values.view(np.uint64) == want.view(np.uint64)).all()
-    want_mags = np.array([[abs(v) for v in row] for row in want.tolist()])
-    assert (mags.view(np.uint64) == want_mags.view(np.uint64)).all()
-
-
 @pytest.mark.parametrize(
     "axes, xi",
     [
@@ -772,6 +730,9 @@ def test_empty_density_is_the_zero_density(tmp_path, capsys):
         "kind = surface_witness\npoints = 3\nh_density = []\n",
         "kind = surface_witness\ncase = slant\npoints = 3\nh_density = []\n",
         "kind = surface_witness\ncase = slant\npoints = 3\nprofile = []\n",
+        # supported in [9, 11], off the curve's [-2.5, 2.5]
+        'kind = surface_witness\ncase = axis\npsi_density = [{"kind":"triangle","center":10}]\n',
+        'kind = surface_witness\ncase = axis\nh_density = [{"kind":"triangle","center":10}]\n',
     ],
 )
 def test_zero_surface_factor_is_refused(tmp_path, capsys, text):

@@ -21,6 +21,7 @@ from hup_lab import (
     triangle,
     zero_density,
 )
+from hup_lab.measures import _ROWS, _ft_rows
 
 from conftest import density_bounds, ft_quad
 
@@ -216,6 +217,46 @@ def test_cross_axis_witness_vanishes_on_xi_axis():
     assert np.max(np.abs(cross_ft(m, t, 0.0))) <= 1e-12
     # still a visibly nonzero measure
     assert np.max(np.abs(cross_ft(m, t, 0.5))) > 1e-3
+
+
+# Measures for the blocked grid rows: complex amplitudes, a zero middle
+# density and non-integer line heights.
+BLOCK_MEASURES = {
+    "line": (
+        line_system_ft,
+        LineMeasure(
+            (-0.7, 0.4, 1.9),
+            (triangle(0.3, 0.8, 0.5 - 1.0j), zero_density(),
+             box(-0.2, 1.1) + odd_bump(0.1, 0.6, -0.3j)),
+        ),
+    ),
+    "cross": (
+        cross_ft,
+        construct_cross_diagonal_witness(
+            2, [gaussian(0.5, 0.7, 0.3 - 1.2j), zero_density(), triangle(-0.4, 0.9, 1.0 + 0.25j)]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("eta_count", [1, 13])
+@pytest.mark.parametrize("xi_count", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("name", sorted(BLOCK_MEASURES))
+def test_grid_blocks_match_one_xi_calls_bitwise(name, xi_count, eta_count):
+    transform, measure = BLOCK_MEASURES[name]
+    xi = -3.05 + 0.1 * np.arange(xi_count)
+    eta = -0.35 + 0.15 * np.arange(eta_count)
+    blocks = list(_ft_rows(measure, xi, eta))
+    sizes = [len(xs) for xs, _, _ in blocks]
+    assert sizes[:-1] == [_ROWS] * (len(blocks) - 1) and 1 <= sizes[-1] <= _ROWS
+    assert np.concatenate([xs for xs, _, _ in blocks]).tolist() == xi.tolist()
+    values = np.concatenate([v for _, v, _ in blocks])
+    mags = np.concatenate([m for _, _, m in blocks])
+    assert values.shape == mags.shape == (xi_count, eta_count)
+    want = np.array([transform(measure, float(x), eta) for x in xi], dtype=complex)
+    assert (values.view(np.uint64) == want.view(np.uint64)).all()
+    want_mags = np.array([[abs(v) for v in row] for row in want.tolist()])
+    assert (mags.view(np.uint64) == want_mags.view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
