@@ -50,10 +50,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LambdaSet:
-    """A finite set of candidate points; ``folded`` marks normalised eta."""
+    """A finite set of candidate points ``(xi, eta)``."""
 
     points: tuple[tuple[float, float], ...]
-    folded: bool = False
 
     def __post_init__(self):
         pts = tuple((float(x), float(e)) for x, e in self.points)
@@ -103,23 +102,20 @@ def fold_periodic(lam: LambdaSet) -> LambdaSet:
     The first representative in sorted order is kept.
     """
     pts = [(x, _fold_eta(e)) for x, e in lam.points]
-    if not pts:
-        return LambdaSet((), folded=True)
     kept: list[tuple[float, float]] = []
     xs = [p[0] for p in pts]
     for group in _cluster_xis(xs):
         rep_xi = pts[group[0]][0]
         kept.extend((rep_xi, e) for e in _merged([pts[i][1] for i in group]))
     kept.sort()
-    return LambdaSet(tuple(kept), folded=True)
+    return LambdaSet(tuple(kept))
 
 
 def fiber(lam: LambdaSet, xi: float) -> tuple[float, ...]:
-    """Sorted distinct eta values sitting over ``xi`` in a folded set."""
-    if not lam.folded:
-        raise ValueError("fold the set before taking fibers")
+    """Sorted distinct eta values sitting over ``xi`` once the set is folded."""
     xi = float(xi)
-    return tuple(sorted(e for x, e in lam.points if abs(x - xi) <= TOL.merge))
+    points = fold_periodic(lam).points
+    return tuple(sorted(e for x, e in points if abs(x - xi) <= TOL.merge))
 
 
 def classify_fiber(
@@ -181,15 +177,13 @@ class FiberPartition:
 def partition(
     lam: LambdaSet, n: int, p: int, *, discriminant_tol: float = TOL.discriminant
 ) -> FiberPartition:
-    """Classify every fiber of a folded set; fibers partition the points."""
-    if not lam.folded:
-        raise ValueError("fold the set before partitioning")
-    xs = [x for x, _ in lam.points]
+    """Classify every fiber of the folded set; fibers partition its points."""
+    points = fold_periodic(lam).points
     fibers: dict[float, tuple[float, ...]] = {}
     classes: dict[float, int] = {}
-    for group in _cluster_xis(xs):
-        rep = lam.points[group[0]][0]
-        etas = tuple(sorted(lam.points[i][1] for i in group))
+    for group in _cluster_xis([x for x, _ in points]):
+        rep = points[group[0]][0]
+        etas = tuple(sorted(points[i][1] for i in group))
         fibers[rep] = etas
         classes[rep] = classify_fiber(etas, n, p, discriminant_tol=discriminant_tol)
     return FiberPartition(fibers, classes)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import LambdaSet, fold_periodic, partition
+from .classifier import LambdaSet, partition
 from .config import GRID_CAP, TOL
 from .curves import (
     CurveDensity,
@@ -504,13 +504,13 @@ def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
             raise ScenarioError(
                 f"densities must hold n + 1 = {n + 1} densities, not {len(densities)}"
             )
-        measure = construct_cross_diagonal_witness(n, densities)
+        measure = construct_cross_diagonal_witness(densities)
         names, on_eta, off_eta = ("diagonal_max", "off_diagonal_max"), t, t + 1.0
     elif p["variant"] == "xi_axis":
         f0 = _or(p["density"], odd_bump)
         if abs(complex(f0.ft(0.0))) > TOL.grid_vanish:
             raise ScenarioError("xi_axis variant needs a zero-mean base density")
-        measure = construct_cross_diagonal_witness(1, [f0, -f0])
+        measure = construct_cross_diagonal_witness([f0, -f0])
         names, on_eta, off_eta = ("axis_max", "off_axis_max"), 0.0, 0.5
     vanish = float(np.max(np.abs(cross_ft(measure, t, on_eta))))
     off = float(np.max(np.abs(cross_ft(measure, t, off_eta))))
@@ -528,9 +528,7 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     est_max = float(np.max(errors))
     g_mass = absolute_mass(witness).value.real
     extent = max(max(abs(lo), abs(hi)) for lo, hi in profile.support_intervals())
-    phi_mass = absolute_mass(
-        CurveDensity.from_density(profile, support_radius=extent)
-    ).value.real
+    phi_mass = absolute_mass(CurveDensity(profile, support_radius=extent)).value.real
     ratio = g_mass / phi_mass if phi_mass > 0 else math.inf
     infos = [f"quad_error_max {est_max:.17g}"]
     on, off = _set_checks(("on_line_max", "off_line_max"), on_max, off_max, p["tolerance"])
@@ -538,10 +536,15 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _surface_factor(key: str, density: Density) -> CurveDensity:
-    """The density on the curve, refused when zero there: it would zero the witness."""
-    factor = CurveDensity.from_density(density)
-    if not factor.smooth_pieces():
-        raise DegenerateWitnessError(f"surface factor {key} is zero on the curve's support")
+    """The density on the curve, refused when its absolute mass there is below
+    ``_OFF_SET_FLOOR``: a vanishing factor would let a vanishing witness pass."""
+    factor = CurveDensity(density)
+    mass = absolute_mass(factor).value.real
+    if not mass >= _OFF_SET_FLOOR:
+        raise DegenerateWitnessError(
+            f"surface factor {key} has absolute mass {mass:.6g} on the curve's "
+            f"support, below {_OFF_SET_FLOOR:g}"
+        )
     return factor
 
 
@@ -569,7 +572,7 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
 
 
 def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
-    lam = fold_periodic(LambdaSet(tuple(p["points"])))
+    lam = LambdaSet(tuple(p["points"]))
     part = partition(lam, p["n"], p["p"], discriminant_tol=p["tolerance"])
     infos = []
     for xi in sorted(part.fibers):
@@ -624,7 +627,7 @@ def _grid_rows(p: dict):
         densities = p["densities"]
         if not densities:
             raise ScenarioError("densities must hold at least one density")
-        measure = construct_cross_diagonal_witness(len(densities) - 1, densities)
+        measure = construct_cross_diagonal_witness(densities)
     elif p["measure"] == "consecutive_witness":
         measure, lam = _consecutive_witness(p)
         if heights is None:
@@ -648,19 +651,19 @@ def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
                 f"lambda height {h} has no eta row within {TOL.merge:g} of it"
             )
         on_lambda |= near
-    # np.maximum, unlike max(), carries a NaN magnitude into the report
-    total_max = lambda_max = 0.0
+    if on_lambda.all():
+        raise ScenarioError("every eta row is a lambda row: none is left to be nonzero")
+    # the largest magnitude per eta row; np.maximum, unlike max(), carries a
+    # NaN magnitude into the report
+    row_max = np.zeros(len(eta))
     for _, _, mags in blocks:
-        total_max = np.maximum(total_max, mags.max())
-        if heights:
-            lambda_max = np.maximum(lambda_max, mags[:, on_lambda].max())
-    infos = [f"grid_rows {len(xi) * len(eta)}", f"max_abs {total_max:.17g}"]
-    checks = []
+        row_max = np.maximum(row_max, mags.max(axis=0))
+    infos = [f"grid_rows {len(xi) * len(eta)}", f"max_abs {row_max.max():.17g}"]
     if heights:
-        checks.append(_check("lambda_rows_max", lambda_max, "<=", p["tolerance"]))
-    else:
-        checks.append(_check("grid_evaluated", float(len(xi) * len(eta)), ">=", 1.0))
-    return infos, checks
+        names = ("lambda_rows_max", "off_lambda_rows_max")
+        on, off = row_max[on_lambda].max(), row_max[~on_lambda].max()
+        return infos, _set_checks(names, on, off, p["tolerance"])
+    return infos, [_check("grid_evaluated", float(len(xi) * len(eta)), ">=", 1.0)]
 
 
 def _run_kronecker_check(p: dict) -> tuple[list[str], list[Check]]:

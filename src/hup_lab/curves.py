@@ -24,7 +24,7 @@ exact rather than approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -42,7 +42,6 @@ from .measures import Density, _scalar_or_array, odd_pair, triangle
 
 __all__ = [
     "LinePhase",
-    "line_phase",
     "CurveDensity",
     "QuadResult",
     "odd_profile",
@@ -170,16 +169,37 @@ def _root_beyond(
 
 @dataclass(frozen=True)
 class LinePhase:
-    """Completed-square phase for the slanted line ``y = c*x``.
+    """Completed-square phase for the slanted line ``y = c*x``, ``c != 0``.
 
-    ``t_min`` is the unique minimiser (the root of ``2*t*exp(t**2) = -1/c``)
-    and ``h_min = value(t_min) >= 1`` is the minimum value.  Build through
-    :func:`line_phase`, which solves for both.
+    ``t_min`` is the unique minimiser (the root of ``2*t*exp(t**2) = -1/c``),
+    found by safeguarded Newton on the derivative to an equation defect below
+    ``1e-13 * max(1, 1/|c|)``, and ``h_min = value(t_min) >= 1`` is the
+    minimum value.  Both are solved for from ``c``.
     """
 
     c: float
-    t_min: float
-    h_min: float
+    t_min: float = field(init=False)
+    h_min: float = field(init=False)
+
+    def __post_init__(self):
+        c = float(self.c)
+        if c == 0:
+            raise ValueError("the slanted line needs a nonzero slope")
+        # H'(0) = 1/c, so the minimiser lies on the side opposite to the sign of c
+        t_min = _root_beyond(
+            lambda t: _slope(t, c),
+            lambda t: (2.0 + 4.0 * t * t) * math.exp(t * t),
+            0.0,
+            -1.0 if c > 0 else 1.0,
+            1e-13 * max(1.0, abs(1.0 / c)),
+        )
+        h_min = _phase(t_min, c)
+        if not h_min > 0:
+            # unreachable: exp(s) >= 1 + s forces h >= 1; kept as a hard guard
+            raise NonpositiveMinimumError(f"phase minimum {h_min} is not positive")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "t_min", t_min)
+        object.__setattr__(self, "h_min", h_min)
 
     @property
     def sqrt_min(self) -> float:
@@ -222,71 +242,34 @@ class LinePhase:
         )
 
 
-def line_phase(c: float) -> LinePhase:
-    """Construct the phase record for slope ``c != 0``.
-
-    The minimiser is found by safeguarded Newton on the derivative to an
-    equation defect below 1e-13 * max(1, 1/|c|).
-    """
-    c = float(c)
-    if c == 0:
-        raise ValueError("the slanted line needs a nonzero slope")
-
-    # H'(0) = 1/c, so the minimiser lies on the side opposite to the sign of c
-    t_min = _root_beyond(
-        lambda t: _slope(t, c),
-        lambda t: (2.0 + 4.0 * t * t) * math.exp(t * t),
-        0.0,
-        -1.0 if c > 0 else 1.0,
-        1e-13 * max(1.0, abs(1.0 / c)),
-    )
-    h_min = _phase(t_min, c)
-    if not h_min > 0:
-        # unreachable: exp(s) >= 1 + s forces h >= 1; kept as a hard guard
-        raise NonpositiveMinimumError(f"phase minimum {h_min} is not positive")
-    return LinePhase(c, t_min, h_min)
-
-
 @dataclass(frozen=True)
 class CurveDensity:
-    """Density on the exponential curve, in one of two representations.
+    """Density on the exponential curve, truncated at ``support_radius``.
 
-    Either a plain atom ``mixture`` (truncated at ``support_radius``), or a
-    witness pair ``(phase, profile)`` encoding
+    Without a ``phase`` it is ``density`` read directly.  With one it is the
+    pull-back of ``density``, an odd profile, through the square-root
+    substitution of that phase:
 
-        g(t) = profile(sqrt(H(t))) * H'(t) / (2 * sqrt(H(t))),
-
-    the pull-back of an odd profile through the square-root substitution.
+        g(t) = density(sqrt(H(t))) * H'(t) / (2 * sqrt(H(t))).
     """
 
-    mixture: Density | None = None
+    density: Density
     phase: LinePhase | None = None
-    profile: Density | None = None
     support_radius: float = SUPPORT_RADIUS
 
     def __post_init__(self):
         object.__setattr__(self, "support_radius", float(self.support_radius))
         if not self.support_radius > 0:
             raise ValueError("support radius must be positive")
-        has_mixture = self.mixture is not None
-        has_witness = self.phase is not None and self.profile is not None
-        if has_mixture == has_witness:
-            raise ValueError("need exactly one of mixture or (phase, profile)")
-
-    @classmethod
-    def from_density(
-        cls, f: Density, support_radius: float = SUPPORT_RADIUS
-    ) -> "CurveDensity":
-        return cls(mixture=f, support_radius=support_radius)
 
     def value_at(self, t):
         arr = np.asarray(t, dtype=float)
-        if self.mixture is not None:
-            val = self.mixture.value_at(arr)
+        if self.phase is None:
+            val = self.density.value_at(arr)
         else:
             u = np.sqrt(self.phase.value(arr))
             # numpy's complex division, also for a scalar: Python's rounds differently
-            val = np.asarray(self.profile.value_at(u), dtype=complex)
+            val = np.asarray(self.density.value_at(u), dtype=complex)
             val = val * self.phase.derivative(arr) / (2.0 * u)
         return _scalar_or_array(np.where(np.abs(arr) <= self.support_radius, val, 0j))
 
@@ -297,18 +280,15 @@ class CurveDensity:
     @cached_property
     def _pieces(self) -> tuple[tuple[float, float], ...]:
         radius = self.support_radius
-        if self.mixture is not None:
-            spans = self.mixture.support_intervals()
+        spans, cuts = self.density.support_intervals(), self.density.breakpoints()
+        if self.phase is None:
             if spans is None:
                 spans = ((-radius, radius),)
-            cuts = self.mixture.breakpoints()
             pieces = [pair for lo, hi in spans for pair in _knot_pairs(lo, hi, cuts)]
         else:
-            # witness representation: map profile knots through both branches
-            spans = self.profile.support_intervals()
+            # a pulled-back profile: map its knots through both branches
             if spans is None:
                 raise WitnessConstructionError("witness profile must be compact")
-            cuts = self.profile.breakpoints()
             pieces = []
             for lo, hi in spans:
                 if hi <= 0:
@@ -544,7 +524,7 @@ def odd_profile(g: CurveDensity, c: float, u):
     if g.phase is not None and g.phase.c == c:
         phase = g.phase
     else:
-        phase = line_phase(c)
+        phase = LinePhase(c)
 
     def single(uv: float) -> complex:
         if abs(uv) <= phase.sqrt_min:
@@ -568,7 +548,7 @@ def standard_witness_profile(c: float) -> Density:
     ``[sqrt(h_min) + 0.2, sqrt(h_min) + 1.2]``, a gap of 0.2 clear of the
     fold.
     """
-    phase = line_phase(c)
+    phase = LinePhase(c)
     return odd_pair(triangle(center=phase.sqrt_min + 0.2 + 0.5, width=0.5))
 
 
@@ -581,7 +561,7 @@ def construct_single_line_witness(c: float, phi: Density) -> CurveDensity:
     profile *is* ``phi`` and the line-restricted transform is the integral
     of an odd function.
     """
-    phase = line_phase(c)
+    phase = LinePhase(c)
     if phi.is_zero():
         raise DegenerateWitnessError("witness profile is zero")
     spans = phi.support_intervals()
@@ -603,7 +583,7 @@ def construct_single_line_witness(c: float, phi: Density) -> CurveDensity:
     t_right = phase.inverse(extent * extent, "right")
     t_left = phase.inverse(extent * extent, "left")
     radius = max(abs(t_left), abs(t_right))
-    return CurveDensity(phase=phase, profile=phi, support_radius=radius)
+    return CurveDensity(phi, phase, radius)
 
 
 def surface_ft(

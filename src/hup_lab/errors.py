@@ -39,7 +39,9 @@ class NonpositiveMinimumError(HupLabError):
 
 class OscillationBudgetError(HupLabError):
     """The requested transform oscillates faster than the quadrature budget
-    allows; refusing is preferred over returning an untrusted number."""
+    allows, or its error estimate still exceeds the quadrature tolerance
+    after the last refinement pass; refusing is preferred over returning an
+    untrusted number."""
 
 
 class WitnessConstructionError(HupLabError, ValueError):

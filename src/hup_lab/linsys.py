@@ -149,10 +149,14 @@ def power_column_matrix(betas, n: int, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Upper-triangular form of a power-column matrix with its pivots."""
+    """Upper-triangular form of a power-column matrix."""
 
     matrix: np.ndarray
-    pivots: tuple[complex, ...]
+
+    @property
+    def pivots(self) -> tuple[complex, ...]:
+        """The diagonal of the reduced matrix."""
+        return tuple(complex(v) for v in np.diag(self.matrix))
 
     def pivot_product(self) -> complex:
         return math.prod(self.pivots, start=1 + 0j)
@@ -179,7 +183,7 @@ def triangularize_power_system(betas, n: int, p: int) -> Reduction:
         mult = u[s + 1 :, s] / piv
         u[s + 1 :, s:] -= np.outer(mult, u[s, s:])
         u[s + 1 :, s] = 0.0
-    return Reduction(u, tuple(complex(v) for v in np.diag(u)))
+    return Reduction(u)
 
 
 def final_pivot_formula(betas, n: int, p: int) -> complex:

@@ -376,15 +376,10 @@ def construct_consecutive_witness(
     return LineMeasure(heights, densities), lam
 
 
-def construct_cross_diagonal_witness(
-    n: int, densities: Sequence[Density]
-) -> CrossMeasure:
-    """Cross measure on levels ``0..n``; any nonzero choice kills the diagonal."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def construct_cross_diagonal_witness(densities: Sequence[Density]) -> CrossMeasure:
+    """Cross measure with ``densities[k]`` on level ``k``; any nonzero choice
+    kills the diagonal."""
     densities = tuple(densities)
-    if len(densities) != n + 1:
-        raise ValueError("need one density per level 0..n")
     if all(f.is_zero() for f in densities):
         raise DegenerateWitnessError("all cross levels are zero")
     return CrossMeasure(densities)

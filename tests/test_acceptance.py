@@ -203,10 +203,10 @@ def test_criterion_05_cross_witnesses():
     for _ in range(10):
         n = int(rng.integers(0, 3))
         densities = [_random_mixture(rng) for _ in range(n + 1)]
-        m = construct_cross_diagonal_witness(n, densities)
+        m = construct_cross_diagonal_witness(densities)
         worst_diag = max(worst_diag, float(np.max(np.abs(cross_ft(m, t, t)))))
     f0 = odd_bump()
-    axis = construct_cross_diagonal_witness(1, [f0, -f0])
+    axis = construct_cross_diagonal_witness([f0, -f0])
     worst_axis = float(np.max(np.abs(cross_ft(axis, t, 0.0))))
     elapsed = time.perf_counter() - start
     ok = worst_diag <= 1e-12 and worst_axis <= 1e-12
@@ -234,7 +234,7 @@ def test_criterion_06_exponential_curve_witness():
         )
         extent = max(abs(b) for iv in phi.support_intervals() for b in iv)
         phi_mass = absolute_mass(
-            CurveDensity.from_density(phi, support_radius=extent)
+            CurveDensity(phi, support_radius=extent)
         ).value.real
         ratio = absolute_mass(wit).value.real / phi_mass
         worst_on = max(worst_on, on)
@@ -255,8 +255,8 @@ def test_criterion_06_exponential_curve_witness():
 def test_criterion_07_surface_constructions():
     start = time.perf_counter()
     grid = np.linspace(-3.0, 3.0, 21)
-    psi = CurveDensity.from_density(odd_pair(triangle(center=1.0, width=0.8)))
-    h = CurveDensity.from_density(triangle(center=0.0, width=1.0))
+    psi = CurveDensity(odd_pair(triangle(center=1.0, width=0.8)))
+    h = CurveDensity(triangle(center=0.0, width=1.0))
     worst_axis = 0.0
     for x2 in grid:
         for x3 in grid:
@@ -338,7 +338,7 @@ def test_criterion_09_quadrature_trust():
             worst = max(worst, abs(complex(f.ft(xi)) - want))
     refused = False
     try:
-        exp_curve_ft(CurveDensity.from_density(triangle()), 0.0, 1e6)
+        exp_curve_ft(CurveDensity(triangle()), 0.0, 1e6)
     except OscillationBudgetError:
         refused = True
     elapsed = time.perf_counter() - start

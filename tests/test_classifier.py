@@ -48,7 +48,6 @@ def random_instance(rng):
 
 def test_fold_subtracts_whole_periods():
     lam = fold_periodic(LambdaSet(((0.0, 2.3),)))
-    assert lam.folded
     assert lam.points == ((0.0, pytest.approx(0.3)),)
 
 
@@ -87,8 +86,9 @@ def test_fiber_extraction():
     lam = fold_periodic(LambdaSet(((0.0, 0.0), (0.0, 4.0 / 3.0), (0.0, 2.0 / 3.0))))
     assert fiber(lam, 0.0) == (0.0, pytest.approx(2.0 / 3.0), pytest.approx(4.0 / 3.0))
     assert fiber(lam, 5.0) == ()
-    with pytest.raises(ValueError):
-        fiber(LambdaSet(((0.0, 0.0),)), 0.0)  # not folded
+    # an unfolded set is folded first: 2.0 and 4.0 land on 0.0
+    raw = LambdaSet(((0.0, 2.0), (0.0, 8.0 / 3.0), (1e-12, -2.0 / 3.0), (0.0, 4.0)))
+    assert fiber(raw, 0.0) == pytest.approx(fiber(lam, 0.0))
 
 
 def test_classify_small_counts():
@@ -157,9 +157,12 @@ def test_classify_permutation_invariant():
         assert classify_fiber(shuffled, 2, 5) == base
 
 
-def test_partition_requires_folded_input():
-    with pytest.raises(ValueError):
-        partition(LambdaSet(((0.0, 0.0),)), 1, 3)
+def test_partition_folds_its_input():
+    raw = LambdaSet(((0.0, 4.5), (0.0, 0.5), (1e-12, -1.0), (2.0, 2.25)))
+    folded = fold_periodic(raw)
+    part = partition(raw, 1, 3)
+    assert part == partition(folded, 1, 3)
+    assert part.fibers == {0.0: (0.5, 1.0), 2.0: (0.25,)}
 
 
 def test_partition_singleton_is_class_one():

@@ -138,6 +138,7 @@ def test_tolerance_override_can_fail_a_check():
     assert not forced.overall
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_run_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "good.scenario", FAST_WITNESS)
     assert main(["run", good]) == 0
@@ -146,6 +147,16 @@ def test_main_run_exit_codes(tmp_path, capsys):
 
     assert main(["run", good, "--tolerance", "1e-20"]) == 1
     assert "overall FAIL" in capsys.readouterr().out
+
+    # a zero measure vanishes on its lambda rows too; its off-set check fails it
+    text = (
+        "kind = ft_grid\nmeasure = line\nheights = [0, 1]\ndensities = [[], []]\n"
+        "lambda_heights = [0.5]\n"
+    )
+    assert main(["run", write(tmp_path, "zero.scenario", text)]) == 1
+    out = capsys.readouterr().out
+    assert "check off_lambda_rows_max measured=0 threshold=0.001 op=ge result=FAIL" in out
+    assert out.endswith("overall FAIL\n")
 
     bad = write(tmp_path, "bad.scenario", "kind = nope\n")
     assert main(["run", bad]) == 2
@@ -222,6 +233,23 @@ def test_precondition_errors_exit_two(tmp_path):
          '{"kind": "triangle", "center": 1e56, "width": 0.5, "amplitude": 1}, '
          '{"kind": "triangle", "center": -1e56, "width": 0.5, "amplitude": -1}]\n',
          "outward root search"),
+        # a factor that underflows on the curve's support has absolute mass 0
+        pytest.param(
+            'kind = surface_witness\ncase = axis\npsi_density = [{"kind":"gaussian","center":40}]\n',
+            "surface factor psi_density has absolute mass 0",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
+        pytest.param(
+            'kind = surface_witness\ncase = axis\nh_density = [{"kind":"gaussian","center":-30}]\n',
+            "surface factor h_density has absolute mass 0",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
+        pytest.param(
+            "kind = ft_grid\nmeasure = line\nheights = [0]\ndensities = [[]]\n"
+            "lambda_heights = [0, 1]\nxi_step = 1\neta_max = 1\neta_step = 1\n",
+            "every eta row is a lambda row",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
          "cross_without_densities", "consecutive_without_n", "grid_without_measure",
@@ -229,7 +257,8 @@ def test_precondition_errors_exit_two(tmp_path):
          "zero_step", "max_below_min", "no_kind", "no_cross_grid_points",
          "empty_cross_densities", "diagonal_densities_not_n_plus_one",
          "diagonal_negative_n", "reduce_negative_n", "curve_tiny_slope",
-         "slant_tiny_slope", "slant_far_profile"],
+         "slant_tiny_slope", "slant_far_profile", "axis_psi_underflows",
+         "axis_h_underflows", "grid_all_lambda_rows"],
 )
 def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
     assert main(["run", write(tmp_path, "r.scenario", text)]) == 2
@@ -580,7 +609,7 @@ ORACLE_GRIDS = {
         lambda: (
             cross_ft,
             construct_cross_diagonal_witness(
-                1, [measures.odd_bump(), measures.gaussian(0.5, 0.7, 0.3 - 1.2j)]
+                [measures.odd_bump(), measures.gaussian(0.5, 0.7, 0.3 - 1.2j)]
             ),
             _axis(-2.0, 0.1, 41),
             _axis(-1.0, 0.1, 21),
@@ -789,10 +818,12 @@ def test_ft_grid_report_agrees_with_its_csv(tmp_path, name):
     else:
         heights = scenario.params["lambda_heights"]
     on_lambda = [r[4] for r in table if any(abs(r[1] - h) <= 1e-9 for h in heights)]
+    off_lambda = [r[4] for r in table if all(abs(r[1] - h) > 1e-9 for h in heights)]
     assert len(on_lambda) == len(heights) * len({r[0] for r in table})
-    (check,) = report.checks
-    assert check.name == "lambda_rows_max"
-    assert check.measured == max(on_lambda)
+    on, off = report.checks
+    assert (on.name, off.name) == ("lambda_rows_max", "off_lambda_rows_max")
+    assert on.measured == max(on_lambda)
+    assert off.measured == max(off_lambda)
 
 
 OFF_GRID_LINE = (

@@ -22,7 +22,7 @@ from hup_lab import (
     exp_curve_ft,
     exp_curve_ft_many,
     gaussian,
-    line_phase,
+    LinePhase,
     line_system_ft,
     odd_bump,
     odd_pair,
@@ -40,18 +40,18 @@ C_VALUES = (1.0, -0.5, 2.0)
 
 def test_phase_value_at_zero():
     for c in C_VALUES:
-        g = line_phase(c)
+        g = LinePhase(c)
         assert g.value(0.0) == pytest.approx(1.0 + 1.0 / (4.0 * c * c))
 
 
 def test_phase_value_hand_case():
-    g = line_phase(1.0)
+    g = LinePhase(1.0)
     assert g.value(1.0) == pytest.approx(math.e + 1.25)
 
 
 def test_phase_completed_square_form_agrees():
     for c in C_VALUES:
-        g = line_phase(c)
+        g = LinePhase(c)
         ts = np.linspace(-3.0, 3.0, 61)
         expanded = (ts + 1.0 / (2.0 * c)) ** 2 + np.exp(ts**2) - ts**2
         assert np.max(np.abs(g.value(ts) - expanded)) <= 1e-12 * np.max(expanded)
@@ -59,7 +59,7 @@ def test_phase_completed_square_form_agrees():
 
 def test_phase_minimum_solves_stationarity():
     for c in C_VALUES:
-        g = line_phase(c)
+        g = LinePhase(c)
         assert abs(2.0 * g.t_min * math.exp(g.t_min**2) + 1.0 / c) <= 1e-12
         assert g.h_min == pytest.approx(g.value(g.t_min))
         assert g.h_min > 0
@@ -70,36 +70,36 @@ def test_phase_minimum_solves_stationarity():
 
 
 def test_phase_minimum_side():
-    assert line_phase(1.0).t_min < 0
-    assert line_phase(-0.5).t_min > 0
+    assert LinePhase(1.0).t_min < 0
+    assert LinePhase(-0.5).t_min > 0
 
 
 def test_phase_rejects_zero_slope():
     with pytest.raises(ValueError):
-        line_phase(0.0)
+        LinePhase(0.0)
 
 
 def test_phase_refuses_a_minimiser_search_past_the_range_of_exp():
     # t_min lies near -16.5; the search's far end at -32 overflows exp(t**2)
     with pytest.raises(ValueError, match="outward root search"):
-        line_phase(1e-120)
+        LinePhase(1e-120)
 
 
 def test_inverse_at_minimum_returns_argmin():
-    g = line_phase(1.0)
+    g = LinePhase(1.0)
     assert g.inverse(g.h_min, "left") == pytest.approx(g.t_min)
     assert g.inverse(g.h_min, "right") == pytest.approx(g.t_min)
 
 
 def test_inverse_round_trip():
-    g = line_phase(1.0)
+    g = LinePhase(1.0)
     assert g.inverse(g.value(1.0), "right") == pytest.approx(1.0, abs=1e-10)
     assert g.inverse(math.e + 1.25, "right") == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("c", C_VALUES)
 def test_inverse_round_trips_both_branches(c):
-    g = line_phase(c)
+    g = LinePhase(c)
     rng = np.random.default_rng(17)
     for _ in range(50):
         v = float(g.h_min + rng.uniform(1e-6, 50.0))
@@ -113,7 +113,7 @@ def test_inverse_round_trips_both_branches(c):
 
 
 def test_inverse_below_minimum_raises():
-    g = line_phase(2.0)
+    g = LinePhase(2.0)
     with pytest.raises(BelowMinimumError):
         g.inverse(g.h_min - 1e-6, "right")
     with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ def test_inverse_below_minimum_raises():
 def test_substitution_change_of_variables():
     # integral of F(H(t)) H'(t) over a right-branch span equals the
     # integral of F over the image values
-    g = line_phase(1.0)
+    g = LinePhase(1.0)
     t0, t1 = g.t_min + 0.3, g.t_min + 1.4
     v0, v1 = g.value(t0), g.value(t1)
     lhs, _ = quad(
@@ -137,7 +137,7 @@ def test_witness_profile_identity():
     for c in C_VALUES:
         phi = standard_witness_profile(c)
         wit = construct_single_line_witness(c, phi)
-        g = line_phase(c)
+        g = LinePhase(c)
         us = np.linspace(g.sqrt_min + 0.05, g.sqrt_min + 1.4, 29)
         for u in us:
             got = odd_profile(wit, c, float(u))
@@ -148,7 +148,7 @@ def test_witness_profile_identity():
 def test_witness_profile_is_odd():
     c = 1.0
     wit = construct_single_line_witness(c, standard_witness_profile(c))
-    g = line_phase(c)
+    g = LinePhase(c)
     us = np.linspace(0.0, g.sqrt_min + 1.6, 60)
     worst = max(
         abs(odd_profile(wit, c, float(u)) + odd_profile(wit, c, -float(u)))
@@ -161,11 +161,11 @@ def test_profile_vanishes_inside_the_gap():
     c = 2.0
     wit = construct_single_line_witness(c, standard_witness_profile(c))
     assert odd_profile(wit, c, 0.0) == 0
-    assert odd_profile(wit, c, 0.5 * line_phase(c).sqrt_min) == 0
+    assert odd_profile(wit, c, 0.5 * LinePhase(c).sqrt_min) == 0
 
 
 def test_exp_curve_ft_odd_mixture_vanishes_at_zero_frequency():
-    g = CurveDensity.from_density(odd_bump())
+    g = CurveDensity(odd_bump())
     for y in (0.0, 0.5, 2.0):
         res = exp_curve_ft(g, 0.0, y)
         assert abs(res.value) <= max(1e-12, res.error)
@@ -173,31 +173,31 @@ def test_exp_curve_ft_odd_mixture_vanishes_at_zero_frequency():
 
 def test_exp_curve_ft_at_origin_is_total_mass():
     f = triangle(center=0.7, width=0.8, amplitude=1.3)
-    g = CurveDensity.from_density(f)
+    g = CurveDensity(f)
     res = exp_curve_ft(g, 0.0, 0.0)
     assert res.value == pytest.approx(complex(f.ft(0.0)), abs=1e-9)
 
 
 def test_exp_curve_ft_pure_x_frequency_matches_closed_form():
     f = gaussian()
-    g = CurveDensity.from_density(f, support_radius=3.0)
+    g = CurveDensity(f, support_radius=3.0)
     res = exp_curve_ft(g, 1.0, 0.0)
     assert res.value == pytest.approx(f.ft(1.0), abs=1e-9)
     assert res.error <= 1e-9
 
 
 def test_exp_curve_ft_error_estimate_reported():
-    g = CurveDensity.from_density(triangle())
+    g = CurveDensity(triangle())
     res = exp_curve_ft(g, 3.0, 2.0)
     assert res.error >= 0.0
     assert np.isfinite(res.error)
 
 
 def test_exp_curve_ft_budget_refusal():
-    g = CurveDensity.from_density(triangle())
+    g = CurveDensity(triangle())
     with pytest.raises(OscillationBudgetError):
         exp_curve_ft(g, 0.0, 1e5)
-    wide = CurveDensity.from_density(gaussian(), support_radius=30.0)
+    wide = CurveDensity(gaussian(), support_radius=30.0)
     with pytest.raises(OscillationBudgetError):
         exp_curve_ft(wide, 1.0, 1.0)
     # the last refinement pass leaves about 1e-16: a sum short of its
@@ -211,7 +211,7 @@ def test_phase_factor_identity():
     # integral against exp(-i*pi*c*x*H(t))
     c, x = 1.0, 1.7
     wit = construct_single_line_witness(c, standard_witness_profile(c))
-    g = line_phase(c)
+    g = LinePhase(c)
 
     def integrand(t):
         return complex(wit.value_at(t)) * cmath.exp(-1j * math.pi * c * x * g.value(t))
@@ -249,7 +249,7 @@ def test_witness_mass_matches_profile_mass():
     phi = standard_witness_profile(c)
     wit = construct_single_line_witness(c, phi)
     extent = max(abs(b) for iv in phi.support_intervals() for b in iv)
-    phi_mass = absolute_mass(CurveDensity.from_density(phi, support_radius=extent))
+    phi_mass = absolute_mass(CurveDensity(phi, support_radius=extent))
     wit_mass = absolute_mass(wit)
     assert wit_mass.value.real == pytest.approx(phi_mass.value.real, abs=1e-8)
     assert wit_mass.value.real >= 0.1 * phi_mass.value.real
@@ -257,7 +257,7 @@ def test_witness_mass_matches_profile_mass():
 
 def test_witness_rejects_bad_profiles():
     c = 1.0
-    g = line_phase(c)
+    g = LinePhase(c)
     with pytest.raises(DegenerateWitnessError):
         construct_single_line_witness(c, triangle().scaled(0.0))
     with pytest.raises(WitnessConstructionError):
@@ -274,29 +274,18 @@ def test_curve_density_value_matches_displayed_formula():
     c = 1.0
     phi = standard_witness_profile(c)
     wit = construct_single_line_witness(c, phi)
-    g = line_phase(c)
+    g = LinePhase(c)
     for t in (0.9, 1.2, -1.6):
         root = math.sqrt(g.value(t))
         want = complex(phi.value_at(root)) * g.derivative(t) / (2.0 * root)
         assert complex(wit.value_at(t)) == pytest.approx(want, abs=1e-12)
 
 
-def test_curve_density_representation_is_exclusive():
-    with pytest.raises(ValueError):
-        CurveDensity(
-            mixture=gaussian(),
-            phase=line_phase(1.0),
-            profile=standard_witness_profile(1.0),
-        )
-    with pytest.raises(ValueError):
-        CurveDensity()
-
-
 def test_surface_ft_separates_at_origin():
     tau = triangle(center=0.5, width=0.4)
     h = box(center=0.0, width=1.0)
     res = surface_ft(
-        CurveDensity.from_density(tau), CurveDensity.from_density(h), (0.0, 0.0, 0.0)
+        CurveDensity(tau), CurveDensity(h), (0.0, 0.0, 0.0)
     )
     want = complex(tau.ft(0.0)) * complex(h.ft(0.0))
     assert res.value == pytest.approx(want, abs=1e-9)
@@ -305,8 +294,8 @@ def test_surface_ft_separates_at_origin():
 def test_surface_axis_witness_vanishes_on_coordinate_hyperplane():
     psi = odd_pair(triangle(center=1.0, width=0.8))
     h = triangle(center=0.0, width=1.0)
-    first = CurveDensity.from_density(psi)
-    second = CurveDensity.from_density(h)
+    first = CurveDensity(psi)
+    second = CurveDensity(h)
     for x2 in (-2.0, 0.0, 1.5):
         for x3 in (-1.0, 0.5, 3.0):
             res = surface_ft(first, second, (0.0, x2, x3))
@@ -316,7 +305,7 @@ def test_surface_axis_witness_vanishes_on_coordinate_hyperplane():
 def test_surface_slant_witness_vanishes_on_slanted_hyperplane():
     c = 1.0
     tau = construct_single_line_witness(c, standard_witness_profile(c))
-    second = CurveDensity.from_density(triangle(center=0.0, width=1.0))
+    second = CurveDensity(triangle(center=0.0, width=1.0))
     for x1 in (-2.0, 0.3, 1.8):
         for x2 in (-1.5, 0.0, 2.0):
             res = surface_ft(tau, second, (x1, x2, c * x1))
@@ -324,14 +313,14 @@ def test_surface_slant_witness_vanishes_on_slanted_hyperplane():
 
 
 def test_surface_budget_refusal():
-    first = CurveDensity.from_density(triangle())
-    second = CurveDensity.from_density(triangle())
+    first = CurveDensity(triangle())
+    second = CurveDensity(triangle())
     with pytest.raises(OscillationBudgetError):
         surface_ft(first, second, (0.0, 0.0, 1e6))
 
 
 def test_absolute_mass_box():
-    g = CurveDensity.from_density(box(center=0.0, width=2.0, amplitude=-1.5))
+    g = CurveDensity(box(center=0.0, width=2.0, amplitude=-1.5))
     res = absolute_mass(g)
     assert res.value.real == pytest.approx(3.0, abs=1e-9)
 
@@ -339,7 +328,7 @@ def test_absolute_mass_box():
 def test_absolute_mass_far_from_the_origin():
     # the mass integrand does not oscillate, so its panels must not read
     # exp(t**2), which overflows past |t| ~ 26.6
-    g = CurveDensity.from_density(triangle(center=30.0), support_radius=31.0)
+    g = CurveDensity(triangle(center=30.0), support_radius=31.0)
     res = absolute_mass(g)
     assert res.value.real == pytest.approx(1.0, abs=1e-9)
     assert res.error <= 1e-9
@@ -361,9 +350,9 @@ CROSS = CrossMeasure((gaussian(), odd_bump()))
         ((gaussian() + odd_bump()).ft, complex),
         (lambda xi: line_system_ft(LINES, xi, 0.5), complex),
         (lambda eta: cross_ft(CROSS, 0.5, eta), complex),
-        (line_phase(1.0).value, float),
-        (line_phase(1.0).derivative, float),
-        (CurveDensity.from_density(triangle()).value_at, complex),
+        (LinePhase(1.0).value, float),
+        (LinePhase(1.0).derivative, float),
+        (CurveDensity(triangle()).value_at, complex),
         (WITNESS.value_at, complex),
         (lambda u: odd_profile(WITNESS, 1.0, u), complex),
     ],
@@ -390,7 +379,7 @@ def test_two_variable_transforms_broadcast_their_arguments(transform, measure):
 
 
 def test_zero_density_transforms_to_an_exact_zero():
-    zero = CurveDensity.from_density(zero_density())
+    zero = CurveDensity(zero_density())
     for res in (
         exp_curve_ft(zero, 1.0, 0.5),
         absolute_mass(zero),
@@ -405,7 +394,7 @@ def test_zero_density_transforms_to_an_exact_zero():
 
 def test_a_nan_tolerance_is_never_met():
     # one pass estimates 8.3e-3 here; no estimate compares above a NaN
-    g = CurveDensity.from_density(gaussian(0.3, 0.004))
+    g = CurveDensity(gaussian(0.3, 0.004))
     with pytest.raises(OscillationBudgetError, match="exceeds the tolerance nan"):
         exp_curve_ft_many(g, [6.0], [0.0], abs_tol=float("nan"))
 
@@ -428,7 +417,7 @@ def test_batched_sweep_agrees_with_one_frequency_at_a_time(c):
 def test_batched_transform_matches_adaptive_quadrature():
     f = triangle(center=0.4, width=0.7) + box(center=-0.6, width=0.8, amplitude=-0.5)
     f = f + gaussian(center=-0.3, width=0.5, amplitude=2.0)
-    g = CurveDensity.from_density(f)
+    g = CurveDensity(f)
     freqs = [(0.0, 0.0), (1.5, 0.3), (-2.0, 1.0), (3.0, -0.5), (0.7, 2.0)]
     xs, ys = zip(*freqs)
     values, errors = exp_curve_ft_many(g, xs, ys)
@@ -439,7 +428,7 @@ def test_batched_transform_matches_adaptive_quadrature():
 
 
 def test_batched_refusals():
-    g = CurveDensity.from_density(triangle())
+    g = CurveDensity(triangle())
     # the budget is checked for every frequency before any sum is formed:
     # the last y is named, although no sum could meet this tolerance
     with pytest.raises(OscillationBudgetError, match=r"\|y\|\*exp\(T\^2\) = 1e\+05\*exp"):
@@ -467,7 +456,7 @@ def test_only_the_frequencies_above_tolerance_are_summed_again(monkeypatch):
     passes = _count_columns(monkeypatch)
     f = gaussian(center=0.1, width=0.05)
     xs = np.linspace(0.0, 6.0, 7)
-    values, errors = exp_curve_ft_many(CurveDensity.from_density(f), xs, 0.0, abs_tol=1e-15)
+    values, errors = exp_curve_ft_many(CurveDensity(f), xs, 0.0, abs_tol=1e-15)
     assert np.all(errors <= 1e-15)
     assert np.max(np.abs(values - f.ft(xs))) <= 1e-14
     assert passes[0] == 7
@@ -479,7 +468,7 @@ def test_the_last_pass_is_fine_enough_for_a_very_narrow_gaussian():
     # on coarser panels would refuse this gaussian
     f = gaussian(0.3, 0.004)
     xs = np.linspace(0.0, 6.0, 7)
-    values, errors = exp_curve_ft_many(CurveDensity.from_density(f), xs, 0.0)
+    values, errors = exp_curve_ft_many(CurveDensity(f), xs, 0.0)
     assert np.all(errors <= 1e-9)
     assert np.max(np.abs(values - f.ft(xs))) <= 1e-14
 
@@ -497,7 +486,7 @@ def test_the_last_pass_is_fine_enough_for_a_very_narrow_gaussian():
 def test_nonfinite_frequencies_are_refused_by_name(monkeypatch, x, y, shown):
     # refused before any sum is formed, also behind finite frequencies
     passes = _count_columns(monkeypatch)
-    g = CurveDensity.from_density(triangle())
+    g = CurveDensity(triangle())
     with pytest.raises(ValueError, match=re.escape(f"frequency (x, y) = {shown} is not finite")):
         exp_curve_ft_many(g, [0.0, 1.0, x], [0.0, 1.0, y])
     assert passes == []
@@ -520,10 +509,10 @@ def test_kronrod_table_matches_independent_sources():
 
 
 def test_empty_batch_and_zero_density_give_zeros():
-    g = CurveDensity.from_density(triangle())
+    g = CurveDensity(triangle())
     values, errors = exp_curve_ft_many(g, [], [])
     assert (values.shape, errors.shape) == ((0,), (0,))
-    zero = CurveDensity.from_density(zero_density())
+    zero = CurveDensity(zero_density())
     values, errors = exp_curve_ft_many(zero, np.linspace(-3.0, 3.0, 40), 1.5)
     assert values.shape == errors.shape == (40,)
     assert not values.any() and not errors.any()
@@ -531,7 +520,7 @@ def test_empty_batch_and_zero_density_give_zeros():
 
 def test_an_empty_batch_on_a_wide_support_gives_empty_arrays():
     # a support this wide refuses every frequency, but an empty batch has none
-    wide = CurveDensity.from_density(gaussian(), support_radius=30.0)
+    wide = CurveDensity(gaussian(), support_radius=30.0)
     values, errors = exp_curve_ft_many(wide, [], [])
     assert (values.shape, errors.shape) == ((0,), (0,))
     with pytest.raises(OscillationBudgetError):
@@ -541,9 +530,9 @@ def test_an_empty_batch_on_a_wide_support_gives_empty_arrays():
 @pytest.mark.parametrize("case", ("axis", "slant"))
 def test_surface_outer_product_matches_surface_ft(case):
     grid = np.linspace(-3.0, 3.0, 7)
-    second = CurveDensity.from_density(triangle(center=0.0, width=1.0))
+    second = CurveDensity(triangle(center=0.0, width=1.0))
     if case == "axis":
-        first = CurveDensity.from_density(odd_pair(triangle(center=1.0, width=0.8)))
+        first = CurveDensity(odd_pair(triangle(center=1.0, width=0.8)))
         x1, x3 = np.zeros(grid.size), grid
     else:
         first = construct_single_line_witness(1.0, standard_witness_profile(1.0))
@@ -559,7 +548,7 @@ def test_absolute_mass_cuts_at_a_sign_change():
     # gaussian + odd_bump at (0.3, 0.9) is exp(-pi*u**2/0.81)*(1 + u) with
     # u = t - 0.3: it changes sign at t = -0.7, where |g| has a kink
     f = gaussian(0.3, 0.9) + odd_bump(0.3, 0.9)
-    res = absolute_mass(CurveDensity.from_density(f))
+    res = absolute_mass(CurveDensity(f))
     want, _ = quad(
         lambda t: abs(complex(f.value_at(t))), -2.5, 2.5,
         points=[-0.7], epsabs=1e-13, epsrel=1e-13, limit=200,

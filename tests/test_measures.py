@@ -201,18 +201,18 @@ def test_cross_ft_zero_densities_vanish_everywhere():
 
 def test_cross_witness_rejects_all_zero_densities():
     with pytest.raises(DegenerateWitnessError):
-        construct_cross_diagonal_witness(1, [zero_density(), zero_density()])
+        construct_cross_diagonal_witness([zero_density(), zero_density()])
 
 
 def test_cross_witness_off_diagonal_is_visible():
-    m = construct_cross_diagonal_witness(0, [gaussian()])
+    m = construct_cross_diagonal_witness([gaussian()])
     t = np.linspace(-10.0, 10.0, 1001)
     assert np.max(np.abs(cross_ft(m, t, t + 1.0))) > 0.1
 
 
 def test_cross_axis_witness_vanishes_on_xi_axis():
     f0 = odd_bump()
-    m = construct_cross_diagonal_witness(1, [f0, -f0])
+    m = construct_cross_diagonal_witness([f0, -f0])
     t = np.linspace(-10.0, 10.0, 1001)
     assert np.max(np.abs(cross_ft(m, t, 0.0))) <= 1e-12
     # still a visibly nonzero measure
@@ -233,7 +233,7 @@ BLOCK_MEASURES = {
     "cross": (
         cross_ft,
         construct_cross_diagonal_witness(
-            2, [gaussian(0.5, 0.7, 0.3 - 1.2j), zero_density(), triangle(-0.4, 0.9, 1.0 + 0.25j)]
+            [gaussian(0.5, 0.7, 0.3 - 1.2j), zero_density(), triangle(-0.4, 0.9, 1.0 + 0.25j)]
         ),
     ),
 }
