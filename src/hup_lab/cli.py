@@ -112,6 +112,15 @@ def _real(key: str, value, shape: str = "a number") -> float:
     return x
 
 
+def _positive(key: str, value) -> float:
+    """A finite float above zero: a quadrature tolerance no sum can meet is
+    refused before any sum is formed."""
+    x = _real(key, value)
+    if not x > 0:
+        raise ScenarioError(f"{key} must be positive")
+    return x
+
+
 def _whole(key: str, value, shape: str = "a whole number") -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -227,13 +236,13 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "c": (_real, _REQUIRED),
         "d": (_real, 1.0),
         **_axis("x", -5.0, 5.0, 0.02),
-        "quad_tol": (_real, TOL.quad_abs),
+        "quad_tol": (_positive, TOL.quad_abs),
         "tolerance": (_real, TOL.curve_vanish),
     },
     "surface_witness": {
         "points": (_whole, 21),
         "h_density": (_density, None),
-        "quad_tol": (_real, TOL.quad_abs),
+        "quad_tol": (_positive, TOL.quad_abs),
         "tolerance": (_real, TOL.curve_vanish),
     },
     "classify": {

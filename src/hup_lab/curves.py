@@ -53,10 +53,10 @@ __all__ = [
     "absolute_mass",
 ]
 
-# Frequencies that share one panel layout, and the most complex entries of
-# the phase matrix formed at once.
+# Frequencies that share one panel layout, and about the most complex
+# entries of the phase matrix formed at once.
 _GROUP = 32
-_BLOCK = 4096
+_BLOCK = 16384
 
 
 @cache
@@ -346,59 +346,143 @@ def _panel_nodes(a, b, panels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _paired_sums(fun, chunks, kernel, columns):
-    """One pass of the paired rule over ``chunks`` for ``fun(t) * kernel(t)``.
+    """One pass of the paired rule over ``chunks`` for ``fun`` times each of
+    ``columns`` kernels.
 
-    ``kernel(t)`` gives the ``columns`` kernel values at each node of ``t``
-    along a new last axis (None: the plain integral, one column).  ``fun``
-    is read once per chunk; the kernel is formed a few panels at a time, at
-    most ``_BLOCK`` entries.  Returns per column the Kronrod sum and the sum
-    over panels of ``|Kronrod - Gauss|``.
+    ``kernel(t, part)`` sums ``part``, the Kronrod and the Gauss row of
+    ``w * fun`` on each panel of the nodes ``t``, against every kernel: one
+    ``(panels, 2, columns)`` array (None: the plain integral, one column).
+    ``fun`` is read once per chunk; the kernel is formed a few panels at a
+    time, about ``_BLOCK`` entries.  Returns per column the Kronrod sum and
+    the sum over panels of ``|Kronrod - Gauss|``, and, with a kernel, the
+    moments against which :func:`_stepped_kernels` states its rounding
+    bound: over the panels, ``sum |w * fun|`` with the Kronrod weights
+    times ``(1, m, exp(m**2), m**2 * exp(m**2))``, ``m`` the panel's
+    largest ``|t|``.
     """
     total = np.zeros(columns, dtype=complex)
     err = np.zeros(columns)
+    moments = np.zeros(4)
     for a, b, panels in chunks:
         t, w = _panel_nodes(a, b, panels)
         values = fun(t)[:, None, :] * w  # per panel: a Kronrod and a Gauss row
+        if kernel is not None:
+            reach = np.abs(t).max(axis=1)
+            grow = np.exp(reach * reach)
+            powers = np.stack([np.ones_like(reach), reach, grow, reach * reach * grow])
+            moments += powers @ np.abs(values[:, 0]).sum(axis=1)
         step = max(1, _BLOCK // (t.shape[1] * columns))
         for i in range(0, panels, step):
             part = values[i : i + step]
             if kernel is None:
                 sums = part.sum(axis=-1)[..., None]
             else:
-                sums = part @ kernel(t[i : i + step])
+                sums = kernel(t[i : i + step], part)
             total += sums[:, 0].sum(axis=0)
             err += np.abs(sums[:, 0] - sums[:, 1]).sum(axis=0)
-    return total, err
+    return total, err, moments
 
 
-def _refined_sums(fun, chunks, abs_tol, x=None, y=None):
+def _stepped_kernels(x, y, opens):
+    """Kernels of the frequencies ``(x[j], y[j])``, read as pieces of evenly
+    stepped runs: a piece runs from each column where ``opens`` is True to
+    the next such column.
+
+    A piece anchored at its first column ``(x0, y0)``, with the step
+    ``(dx, dy)`` taken from its end points, gives its column ``k`` as
+    ``exp(-i*pi*(x0*t + y0*exp(t**2))) * exp(-i*pi*(dx*t + dy*exp(t**2)))**k``:
+    two complex ``exp`` per node, the powers by doubling.  A piece of one
+    column is its plain ``exp``.  Returns the kernel as :func:`_paired_sums`
+    takes it, and per column the coefficients of its rounding bound against
+    the moments that function returns: ``k`` products (``4 eps`` each,
+    with the rounding of the step's ``exp``), ``k`` times the phase error
+    of the step factor, and the distance from ``(x[j], y[j])`` to the grid
+    point ``(x0 + k*dx, y0 + k*dy)``, each against ``|t|`` and
+    ``exp(t**2)``.  Column 0 of a piece has none.
+    """
+    count = len(x)
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], count) - 1
+    piece = np.cumsum(opens) - 1
+    power = np.arange(count) - first[piece]
+    top = int(power.max())
+    dx, dy = ((v[last] - v[first]) / np.maximum(last - first, 1) for v in (x, y))
+    eps, k, once = np.finfo(float).eps, power.astype(float), np.minimum(power, 1)
+
+    def mismatch(v, dv):
+        v0 = v[first][piece]
+        slack = eps * (k * np.abs(dv) + once * (np.abs(v0) + np.abs(v)))
+        return np.abs(v - (v0 + k * dv)) + slack
+
+    step_x, step_y = dx[piece], dy[piece]
+    rounding = np.stack([
+        4.0 * eps * k,
+        math.pi * (2.0 * eps * k * np.abs(step_x) + mismatch(x, step_x)),
+        math.pi * (3.0 * eps * k * np.abs(step_y) + mismatch(y, step_y)),
+        math.pi * eps * k * np.abs(step_y),
+    ], axis=-1)
+    take = power * first.size + piece
+    x0, y0, sx, sy = (v[:, None, None] for v in (x[first], y[first], dx, dy))
+
+    def kernel(t, part):
+        grow = np.exp(t * t)
+
+        def turn(a, b):
+            return np.exp(-1j * math.pi * (t * a + grow * b))
+
+        # ladder[k, q] = anchor * step**k of piece q at the nodes, by doubling
+        ladder = np.empty((top + 1, first.size, *t.shape), dtype=complex)
+        ladder[0] = turn(x0, y0)
+        done = 1
+        step = turn(sx, sy) if top else None
+        while done <= top:
+            reach = min(done, top + 1 - done)
+            np.multiply(ladder[:reach], step, out=ladder[done : done + reach])
+            done += reach
+            step = step * step
+        rows = ladder.reshape(-1, *t.shape).transpose(1, 0, 2)
+        return (rows @ part.transpose(0, 2, 1))[:, take].transpose(0, 2, 1)
+
+    return kernel, rounding
+
+
+def _refined_sums(fun, chunks, abs_tol, x=None, y=None, run=None):
     """Gauss-Kronrod (7, 15) sums of ``fun`` over ``chunks``, one per
     frequency ``(x[k], y[k])`` against ``exp(-i*pi*(x*t + y*exp(t**2)))``,
     or a single plain sum when ``x`` is None.
 
-    Each frequency keeps its own error estimate, ``|K15 - G7|`` summed over
-    the panels.  The ones not yet within ``abs_tol`` (a NaN estimate or
-    tolerance never is) are summed again on twice the panels, and the call
-    refuses if five passes do not bring every one within it.  The fifth
-    pass cuts each first-pass panel into 16, so its panels turn the phase
-    by at most pi/32.  Over no chunks the first pass gives zeros, so an
-    empty support needs no case of its own.
+    In each pass the frequencies still to be summed that lie next to each
+    other and share a ``run`` label form one piece of
+    :func:`_stepped_kernels`.  Each frequency keeps its own error
+    estimate: ``|K15 - G7|`` summed over the panels, plus the rounding
+    bound of its kernel.  The ones not yet within ``abs_tol`` (a NaN
+    estimate or tolerance never is) are summed again on twice the panels,
+    and the call refuses if five passes do not bring every one within it.
+    The fifth pass cuts each first-pass panel into 16, so its panels turn
+    the phase by at most pi/32.  Over no chunks the first pass gives zeros,
+    so an empty support needs no case of its own.
     """
     count = 1 if x is None else len(x)
     values = np.zeros(count, dtype=complex)
     errors = np.zeros(count)
     todo = np.arange(count)
+    if run is not None:
+        run = np.array(run)
+    kernel, rounding = None, np.zeros((1, 4))
     for attempt in range(5):
         layout = [(a, b, panels << attempt) for a, b, panels in chunks]
-        kernel = None
         if x is not None:
-            xs, ys = x[todo], y[todo]
-
-            def kernel(t):
-                turn = t[..., None] * xs + np.exp(t * t)[..., None] * ys
-                return np.exp(-1j * math.pi * turn)
-
-        values[todo], errors[todo] = _paired_sums(fun, layout, kernel, len(todo))
+            opens = np.ones(todo.size, dtype=bool)
+            opens[1:] = (np.diff(run[todo]) != 0) | (np.diff(todo) != 1)
+            kernel, rounding = _stepped_kernels(x[todo], y[todo], opens)
+        total, err, moments = _paired_sums(fun, layout, kernel, len(todo))
+        rounded = rounding @ moments
+        values[todo], errors[todo] = total, err + rounded
+        # a frequency whose recurrence rounding takes half the tolerance
+        # is summed by its own exp from the next pass on
+        if run is not None:
+            alone = todo[rounded > 0.5 * abs_tol]
+            run[alone] = -1 - alone
         todo = todo[~(errors[todo] <= abs_tol)]
         if not todo.size:
             return values, errors
@@ -406,6 +490,28 @@ def _refined_sums(fun, chunks, abs_tol, x=None, y=None):
         f"quadrature error {errors[todo].max():.6g} still exceeds the tolerance "
         f"{abs_tol:.6g} after the last refinement pass"
     )
+
+
+def _run_starts(x, y) -> np.ndarray:
+    """Where each run of the batch starts, in the caller's order.
+
+    A run is a stretch of three or more frequencies evenly stepped to
+    within a few ulp: every second difference of ``x`` and of ``y`` is at
+    most 16 eps of the batch's largest ``|x|`` and ``|y|``.  Every other
+    frequency is a run of its own.
+    """
+    flat = np.ones(max(len(x) - 2, 0), dtype=bool)
+    for v in (x, y):
+        flat &= np.abs(np.diff(v / (np.abs(v).max() or 1.0), 2)) <= 16 * np.finfo(float).eps
+    flat = flat.tolist()
+    starts, i = [], 0
+    while i < len(x):
+        starts.append(i)
+        j = i
+        while j < len(flat) and flat[j]:
+            j += 1
+        i = j + 2 if j > i else i + 1
+    return np.array(starts)
 
 
 def exp_curve_ft_many(
@@ -417,14 +523,19 @@ def exp_curve_ft_many(
 
     Every frequency that is not finite, or whose oscillation
     ``|y| * exp(T**2)`` exceeds the documented budget, is refused first; an
-    empty batch gives empty arrays.  The rest are ordered by the rate at
-    which their phase ``pi*(x*t + y*exp(t**2))`` turns at the support edge
-    and taken ``_GROUP`` at a time.  A group shares one panel layout, sized
-    so that its largest ``|x|`` and ``|y|`` turn the phase by at most pi/2
-    per panel, and ``g`` is read once per chunk of it.  The Gauss-Kronrod
-    (7, 15) rule gives each frequency its value and error estimate, the sum
-    of ``|K15 - G7|`` over the panels; a frequency whose estimate still
-    exceeds ``abs_tol`` after the last refinement pass is refused.
+    empty batch gives empty arrays.  The rest are cut, in the caller's
+    order, into evenly stepped runs (:func:`_run_starts`); the runs are
+    ordered by the rate at which their fastest phase ``pi*(x*t +
+    y*exp(t**2))`` turns at the support edge, and the frequencies are taken
+    ``_GROUP`` at a time.  A group shares one panel layout, sized so that
+    its largest ``|x|`` and ``|y|`` turn the phase by at most pi/2 per
+    panel, and ``g`` is read once per chunk of it; each piece of a run in
+    it forms its kernel as anchor times step powers
+    (:func:`_stepped_kernels`).  The Gauss-Kronrod (7, 15) rule gives each
+    frequency its value and error estimate, the sum of ``|K15 - G7|`` over
+    the panels plus the rounding bound of its kernel; a frequency whose
+    estimate still exceeds ``abs_tol`` after the last refinement pass is
+    refused.
     """
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
     x = np.broadcast_to(np.asarray(xs, dtype=float), shape).reshape(-1)
@@ -446,8 +557,14 @@ def exp_curve_ft_many(
     pieces = g.smooth_pieces()
     edge = max((max(abs(lo), abs(hi)) for lo, hi in pieces), default=0.0)
     edge_rate = np.abs(x) + 2.0 * np.abs(y) * edge * math.exp(edge * edge)
-    order = np.argsort(edge_rate, kind="stable")
-    for start in range(0, len(order), _GROUP):
+    starts = _run_starts(x, y)
+    ranked = np.argsort(np.maximum.reduceat(edge_rate, starts), kind="stable")
+    lengths = np.diff(np.append(starts, x.size))[ranked]
+    # the frequencies run by run, each run in the caller's order
+    run = np.repeat(np.arange(ranked.size), lengths)
+    order = np.repeat(starts[ranked] - np.cumsum(lengths) + lengths, lengths)
+    order += np.arange(x.size)
+    for start in range(0, x.size, _GROUP):
         group = order[start : start + _GROUP]
         x_top, y_top = np.abs(x[group]).max(), np.abs(y[group]).max()
 
@@ -456,7 +573,7 @@ def exp_curve_ft_many(
 
         chunks = _chunks(pieces, rate)
         values[group], errors[group] = _refined_sums(
-            g.value_at, chunks, abs_tol, x[group], y[group]
+            g.value_at, chunks, abs_tol, x[group], y[group], run[start : start + _GROUP]
         )
     return values.reshape(shape), errors.reshape(shape)
 

@@ -250,6 +250,11 @@ def test_precondition_errors_exit_two(tmp_path):
             "every eta row is a lambda row",
             marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
         ),
+        # refused before any quadrature, not after five refinement passes
+        ("kind = exp_curve_witness\nc = 2.0\nquad_tol = -1\n", "quad_tol must be positive"),
+        ("kind = exp_curve_witness\nc = 2.0\nquad_tol = 0\n", "quad_tol must be positive"),
+        ("kind = surface_witness\ncase = slant\nquad_tol = -1\n", "quad_tol must be positive"),
+        ("kind = surface_witness\nquad_tol = 0\n", "quad_tol must be positive"),
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
          "cross_without_densities", "consecutive_without_n", "grid_without_measure",
@@ -258,7 +263,8 @@ def test_precondition_errors_exit_two(tmp_path):
          "empty_cross_densities", "diagonal_densities_not_n_plus_one",
          "diagonal_negative_n", "reduce_negative_n", "curve_tiny_slope",
          "slant_tiny_slope", "slant_far_profile", "axis_psi_underflows",
-         "axis_h_underflows", "grid_all_lambda_rows"],
+         "axis_h_underflows", "grid_all_lambda_rows", "curve_negative_quad_tol",
+         "curve_zero_quad_tol", "slant_negative_quad_tol", "axis_zero_quad_tol"],
 )
 def test_refusals_name_their_cause(tmp_path, capsys, text, cause):
     assert main(["run", write(tmp_path, "r.scenario", text)]) == 2

@@ -414,6 +414,42 @@ def test_batched_sweep_agrees_with_one_frequency_at_a_time(c):
         assert abs(value - single.value) <= error + single.error
 
 
+@pytest.mark.parametrize("descending", (False, True))
+def test_a_stepped_sweep_at_y_zero_matches_the_closed_form(descending):
+    # at y = 0 the transform of a gaussian read directly is its closed form,
+    # the truncation at the support edge being below 1e-40.  Besides its
+    # estimate, each value is allowed 4 eps of the mass: the estimate does
+    # not cover the rounding of the sum itself, which falls below it where
+    # the panels are fine and the terms large (|K15 - G7| can read 2e-17
+    # at a value of 0.3, whatever the kernel).
+    f = gaussian(center=0.2, width=0.4)
+    xs = np.linspace(-8.0, 8.0, 161)
+    if descending:
+        xs = xs[::-1]
+    values, errors = exp_curve_ft_many(CurveDensity(f), xs, 0.0)
+    floor = 4.0 * np.finfo(float).eps * 0.4
+    assert np.all(np.abs(values - f.ft(xs)) <= errors + floor)
+
+
+@pytest.mark.parametrize("c", (0.8, -3.2, 3.2))
+@pytest.mark.parametrize("order", ("stepped", "reversed", "shuffled"))
+def test_stepped_sweeps_agree_with_one_frequency_at_a_time_in_any_order(c, order):
+    # a shuffle leaves (almost) no run of three, so its frequencies are
+    # summed as runs of one
+    wit = construct_single_line_witness(c, standard_witness_profile(c))
+    xs = np.tile(-5.0 + 0.25 * np.arange(41), 2)
+    ys = c * xs + np.repeat([0.0, 1.0], 41)
+    index = {
+        "stepped": np.arange(82),
+        "reversed": np.arange(82)[::-1],
+        "shuffled": np.random.default_rng(7).permutation(82),
+    }[order]
+    values, errors = exp_curve_ft_many(wit, xs[index], ys[index])
+    for x, y, value, error in zip(xs[index], ys[index], values, errors):
+        single = exp_curve_ft(wit, float(x), float(y))
+        assert abs(value - single.value) <= error + single.error
+
+
 def test_batched_transform_matches_adaptive_quadrature():
     f = triangle(center=0.4, width=0.7) + box(center=-0.6, width=0.8, amplitude=-0.5)
     f = f + gaussian(center=-0.3, width=0.5, amplitude=2.0)
@@ -461,6 +497,56 @@ def test_only_the_frequencies_above_tolerance_are_summed_again(monkeypatch):
     assert np.max(np.abs(values - f.ft(xs))) <= 1e-14
     assert passes[0] == 7
     assert any(0 < count < 7 for count in passes[1:])
+
+
+def _kernel_columns(kernel) -> np.ndarray:
+    """Each kernel column at 15 probe nodes, one row per column: panel p
+    of the probe holds the nodes and a Kronrod row picking node p."""
+    t = np.tile(np.linspace(-1.2, 1.3, 15), (15, 1))
+    part = np.zeros((15, 2, 15), dtype=complex)
+    part[np.arange(15), 0, np.arange(15)] = 1.0
+    return kernel(t, part)[:, 0, :].T
+
+
+@pytest.mark.parametrize("shuffled", (False, True))
+def test_each_frequency_is_summed_once_per_pass_in_groups(monkeypatch, shuffled):
+    # each call's kernel columns are matched to the batch's frequencies at
+    # probe nodes; a call whose frequencies are disjoint from the last
+    # call's opens a group, and each later pass of it takes a subset.  Deep
+    # in a run the recurrence's rounding alone exceeds half of 1e-15 on
+    # this gaussian, so those frequencies finish on their own exp.
+    xs = np.linspace(0.0, 6.0, 501)
+    if shuffled:
+        xs = np.random.default_rng(3).permutation(xs)
+    nodes = np.linspace(-1.2, 1.3, 15)
+    direct = np.exp(-1j * math.pi * xs[:, None] * nodes)
+    calls = []
+    paired_sums = curves._paired_sums
+
+    def spy(fun, chunks, kernel, columns):
+        probe = _kernel_columns(kernel)
+        gap = np.abs(probe[:, None, :] - direct[None, :, :]).max(axis=-1)
+        assert np.all(gap.min(axis=1) <= 1e-12)
+        calls.append(gap.argmin(axis=1))
+        assert calls[-1].size == columns
+        return paired_sums(fun, chunks, kernel, columns)
+
+    monkeypatch.setattr(curves, "_paired_sums", spy)
+    f = gaussian(center=0.1, width=0.2)
+    values, errors = exp_curve_ft_many(CurveDensity(f), xs, 0.0, abs_tol=1e-15)
+    assert np.all(errors <= 1e-15)
+    groups = []
+    for summed in calls:
+        assert np.unique(summed).size == summed.size <= curves._GROUP
+        if groups and np.isin(summed, groups[-1][-1]).any():
+            assert np.isin(summed, groups[-1][-1]).all()
+            groups[-1].append(summed)
+        else:
+            groups.append([summed])
+    firsts = np.concatenate([passes[0] for passes in groups])
+    assert np.array_equal(np.sort(firsts), np.arange(xs.size))
+    assert len(groups) <= math.ceil(xs.size / curves._GROUP)
+    assert any(len(passes) > 1 for passes in groups)
 
 
 def test_the_last_pass_is_fine_enough_for_a_very_narrow_gaussian():
