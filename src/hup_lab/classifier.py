@@ -3,8 +3,10 @@
 A candidate set is a collection of points ``(xi, eta)``.  Because every
 transform in this package is 2-periodic in ``eta`` when line heights are
 integers, the set is first folded into ``eta in [0, 2)``.  Points sharing
-(within tolerance) the same ``xi`` form a fiber, and each fiber is graded
-by how much of the power system its phases can pin down:
+(within tolerance) the same ``xi`` form a fiber; one pass folds, groups
+and merges them, and :func:`fold_periodic`, :func:`fiber` and
+:func:`partition` all read it.  Each fiber is graded by how much of the
+power system its phases can pin down:
 
 * ``m`` distinct phases with ``m <= n``          -> class ``m``
 * at least ``n + 1`` phases on which ``z^p`` agrees with a polynomial of
@@ -31,8 +33,10 @@ see :func:`classify_fiber`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .config import TOL
@@ -70,18 +74,6 @@ def _fold_eta(eta: float) -> float:
     return out
 
 
-def _cluster_xis(xs: Sequence[float]) -> list[list[int]]:
-    """Indices grouped by xi, breaking clusters at gaps larger than ``TOL.merge``."""
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and xs[i] - xs[groups[-1][-1]] <= TOL.merge:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def _merged(etas: Sequence[float]) -> list[float]:
     """Sorted folded ``etas`` less each one within ``TOL.merge`` of the last
     kept, the top of the period wrapping onto the bottom point."""
@@ -94,28 +86,36 @@ def _merged(etas: Sequence[float]) -> list[float]:
     return dedup
 
 
-def fold_periodic(lam: LambdaSet) -> LambdaSet:
-    """Reduce eta mod 2 into [0, 2) and merge coordinate-wise duplicates.
+def _fibers(lam: LambdaSet) -> list[tuple[float, tuple[float, ...]]]:
+    """``(smallest xi, merged folded phases)`` per fiber, in ascending xi: a
+    point within ``TOL.merge`` of the previous xi (ties in input order)
+    joins its fiber, so a fiber can chain wider than ``TOL.merge``."""
+    fibers: list[tuple[float, list[float]]] = []
+    for x, e in sorted(lam.points, key=itemgetter(0)):
+        if not fibers or x - last > TOL.merge:
+            fibers.append((x, []))
+        fibers[-1][1].append(_fold_eta(e))
+        last = x
+    return [(xi, tuple(_merged(etas))) for xi, etas in fibers]
 
-    Duplicates are points within ``TOL.merge`` in each coordinate after
-    folding, including the wrap-around pair ``eta ~ 0`` vs ``eta ~ 2``.
-    The first representative in sorted order is kept.
+
+def fold_periodic(lam: LambdaSet) -> LambdaSet:
+    """Reduce eta mod 2 into [0, 2) and merge duplicates, fiber by fiber.
+
+    Each point moves to its fiber's ``xi``; phases within ``TOL.merge`` of
+    each other there merge, including the wrap-around pair ``eta ~ 0`` vs
+    ``eta ~ 2``.  The first representative in sorted order is kept.
     """
-    pts = [(x, _fold_eta(e)) for x, e in lam.points]
-    kept: list[tuple[float, float]] = []
-    xs = [p[0] for p in pts]
-    for group in _cluster_xis(xs):
-        rep_xi = pts[group[0]][0]
-        kept.extend((rep_xi, e) for e in _merged([pts[i][1] for i in group]))
-    kept.sort()
-    return LambdaSet(tuple(kept))
+    return LambdaSet(tuple((xi, e) for xi, etas in _fibers(lam) for e in etas))
 
 
 def fiber(lam: LambdaSet, xi: float) -> tuple[float, ...]:
-    """Sorted distinct eta values sitting over ``xi`` once the set is folded."""
+    """Sorted distinct phases of the fiber of the folded set keyed nearest
+    ``xi``, within ``TOL.merge`` of it (on a tie, the smaller key); empty
+    when no fiber is that near."""
     xi = float(xi)
-    points = fold_periodic(lam).points
-    return tuple(sorted(e for x, e in points if abs(x - xi) <= TOL.merge))
+    near = [(abs(x - xi), etas) for x, etas in _fibers(lam) if abs(x - xi) <= TOL.merge]
+    return min(near, key=itemgetter(0))[1] if near else ()
 
 
 def classify_fiber(
@@ -168,22 +168,17 @@ class FiberPartition:
     classes: dict
 
     def class_counts(self) -> dict:
-        counts: dict[int, int] = {}
-        for cls in self.classes.values():
-            counts[cls] = counts.get(cls, 0) + 1
-        return counts
+        return Counter(self.classes.values())
 
 
 def partition(
     lam: LambdaSet, n: int, p: int, *, discriminant_tol: float = TOL.discriminant
 ) -> FiberPartition:
     """Classify every fiber of the folded set; fibers partition its points."""
-    points = fold_periodic(lam).points
-    fibers: dict[float, tuple[float, ...]] = {}
-    classes: dict[float, int] = {}
-    for group in _cluster_xis([x for x, _ in points]):
-        rep = points[group[0]][0]
-        etas = tuple(sorted(points[i][1] for i in group))
-        fibers[rep] = etas
-        classes[rep] = classify_fiber(etas, n, p, discriminant_tol=discriminant_tol)
+    _power_contract(n, p)
+    fibers = dict(_fibers(lam))
+    classes = {
+        xi: classify_fiber(etas, n, p, discriminant_tol=discriminant_tol)
+        for xi, etas in fibers.items()
+    }
     return FiberPartition(fibers, classes)

@@ -31,6 +31,7 @@ import operator
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -218,90 +219,6 @@ def _axis(name: str, lo: float, hi: float, step: float) -> dict[str, tuple]:
     return {key: (_real, default) for key, default in zip(keys, (lo, hi, step))}
 
 
-# Per kind, each key's converter and default; null selects the default only
-# where the default is null.  A kind listed in _CASES holds here only the
-# keys that all of its cases share.
-_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "consecutive_witness": {
-        "n": (_whole, _REQUIRED),
-        "seed_density": (_density, None),
-        **_axis("xi", -10.0, 10.0, 0.02),
-        "tolerance": (_real, TOL.grid_vanish),
-    },
-    "cross_witness": {
-        "grid_points": (_whole, 1001),
-        "tolerance": (_real, TOL.grid_vanish),
-    },
-    "exp_curve_witness": {
-        "c": (_real, _REQUIRED),
-        "d": (_real, 1.0),
-        **_axis("x", -5.0, 5.0, 0.02),
-        "quad_tol": (_positive, TOL.quad_abs),
-        "tolerance": (_real, TOL.curve_vanish),
-    },
-    "surface_witness": {
-        "points": (_whole, 21),
-        "h_density": (_density, None),
-        "quad_tol": (_positive, TOL.quad_abs),
-        "tolerance": (_real, TOL.curve_vanish),
-    },
-    "classify": {
-        "points": (_pairs, _REQUIRED),
-        "n": (_whole, _REQUIRED),
-        "p": (_power, _REQUIRED),
-        "expected_counts": (_counts, None),
-        "tolerance": (_real, TOL.discriminant),
-    },
-    "discriminant": {
-        "etas": (_reals, _REQUIRED),
-        "n": (_whole, _REQUIRED),
-        "p": (_power, _REQUIRED),
-        "expect": (_real, None),
-        "tolerance": (_real, TOL.discriminant),
-    },
-    "reduce": {
-        "etas": (_reals, _REQUIRED),
-        "n": (_whole, _REQUIRED),
-        "p": (_power, _REQUIRED),
-        "tolerance": (_real, TOL.pivot_rel),
-    },
-    "ft_grid": {
-        "lambda_heights": (_reals, None),
-        **_axis("xi", -10.0, 10.0, 0.02),
-        **_axis("eta", 0.0, 2.0, 0.5),
-        "tolerance": (_real, TOL.grid_vanish),
-    },
-    "kronecker_check": {
-        "density": (_density, None),
-        "alpha": (_real, _REQUIRED),
-        "sample_count": (_whole, 401),
-        "tolerance": (_real, 1e-6),
-    },
-}
-
-# Kinds that run one of several constructions: the key that picks the case,
-# its default, and per case the keys it reads besides the shared ones.
-_CASES: dict[str, tuple[str, object, dict[str, dict[str, tuple]]]] = {
-    "cross_witness": ("variant", "diagonal", {
-        "diagonal": {
-            "n": (_whole, 0),
-            "densities": (_densities, None),
-            "seed": (_whole, 0),
-        },
-        "xi_axis": {"density": (_density, None)},  # the base density
-    }),
-    "surface_witness": ("case", "axis", {
-        "axis": {"psi_density": (_density, None)},
-        "slant": {"c": (_real, 1.0), "profile": (_density, None)},
-    }),
-    "ft_grid": ("measure", _REQUIRED, {
-        "line": {"heights": (_reals, _REQUIRED), "densities": (_densities, _REQUIRED)},
-        "cross": {"densities": (_densities, _REQUIRED)},
-        "consecutive_witness": {"n": (_whole, _REQUIRED), "seed_density": (_density, None)},
-    }),
-}
-
-
 def parse_scenario_text(text: str) -> Scenario:
     params: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -350,15 +267,15 @@ def _resolve(scenario: Scenario, tolerance: float | None = None) -> tuple[dict, 
     A kind with cases takes its case word first; the word picks the schema.
     """
     kind, given = scenario.kind, dict(scenario.params)
-    schema = _SCHEMAS.get(kind)
-    if schema is None:
-        known = ", ".join(sorted(_SCHEMAS))
+    entry = _KINDS.get(kind)
+    if entry is None:
+        known = ", ".join(sorted(_KINDS))
         raise ScenarioError(f"unknown kind {kind!r} (known: {known})")
     if tolerance is not None:
         given["tolerance"] = float(tolerance)
-    label = kind
-    if kind in _CASES:
-        key, default, cases = _CASES[kind]
+    label, schema = kind, entry.keys
+    if entry.cases is not None:
+        key, default, cases = entry.cases
         shape = f"one of the {kind} cases: {', '.join(cases)}"
         word = _value(kind, given, key, lambda k, v: _word(k, v, shape, cases), default)
         schema = {key: (_word, default), **schema, **cases[word]}
@@ -684,23 +601,94 @@ def _run_kronecker_check(p: dict) -> tuple[list[str], list[Check]]:
     return [], checks
 
 
-_RUNNERS = {
-    "consecutive_witness": _run_consecutive_witness,
-    "cross_witness": _run_cross_witness,
-    "exp_curve_witness": _run_exp_curve_witness,
-    "surface_witness": _run_surface_witness,
-    "classify": _run_classify,
-    "discriminant": _run_discriminant,
-    "reduce": _run_reduce,
-    "ft_grid": _run_ft_grid,
-    "kronecker_check": _run_kronecker_check,
+class _Kind(NamedTuple):
+    """A scenario kind: its runner; each key's converter and default, where
+    null selects the default only where the default is null; and, for a kind
+    that runs one of several constructions, the key that picks the case, its
+    default, and per case the keys it reads besides these shared ones."""
+
+    run: Callable[[dict], tuple[list[str], list[Check]]]
+    keys: dict[str, tuple]
+    cases: tuple | None = None
+
+
+_KINDS = {
+    "consecutive_witness": _Kind(_run_consecutive_witness, {
+        "n": (_whole, _REQUIRED),
+        "seed_density": (_density, None),
+        **_axis("xi", -10.0, 10.0, 0.02),
+        "tolerance": (_real, TOL.grid_vanish),
+    }),
+    "cross_witness": _Kind(_run_cross_witness, {
+        "grid_points": (_whole, 1001),
+        "tolerance": (_real, TOL.grid_vanish),
+    }, ("variant", "diagonal", {
+        "diagonal": {
+            "n": (_whole, 0),
+            "densities": (_densities, None),
+            "seed": (_whole, 0),
+        },
+        "xi_axis": {"density": (_density, None)},  # the base density
+    })),
+    "exp_curve_witness": _Kind(_run_exp_curve_witness, {
+        "c": (_real, _REQUIRED),
+        "d": (_real, 1.0),
+        **_axis("x", -5.0, 5.0, 0.02),
+        "quad_tol": (_positive, TOL.quad_abs),
+        "tolerance": (_real, TOL.curve_vanish),
+    }),
+    "surface_witness": _Kind(_run_surface_witness, {
+        "points": (_whole, 21),
+        "h_density": (_density, None),
+        "quad_tol": (_positive, TOL.quad_abs),
+        "tolerance": (_real, TOL.curve_vanish),
+    }, ("case", "axis", {
+        "axis": {"psi_density": (_density, None)},
+        "slant": {"c": (_real, 1.0), "profile": (_density, None)},
+    })),
+    "classify": _Kind(_run_classify, {
+        "points": (_pairs, _REQUIRED),
+        "n": (_whole, _REQUIRED),
+        "p": (_power, _REQUIRED),
+        "expected_counts": (_counts, None),
+        "tolerance": (_real, TOL.discriminant),
+    }),
+    "discriminant": _Kind(_run_discriminant, {
+        "etas": (_reals, _REQUIRED),
+        "n": (_whole, _REQUIRED),
+        "p": (_power, _REQUIRED),
+        "expect": (_real, None),
+        "tolerance": (_real, TOL.discriminant),
+    }),
+    "reduce": _Kind(_run_reduce, {
+        "etas": (_reals, _REQUIRED),
+        "n": (_whole, _REQUIRED),
+        "p": (_power, _REQUIRED),
+        "tolerance": (_real, TOL.pivot_rel),
+    }),
+    "ft_grid": _Kind(_run_ft_grid, {
+        "lambda_heights": (_reals, None),
+        **_axis("xi", -10.0, 10.0, 0.02),
+        **_axis("eta", 0.0, 2.0, 0.5),
+        "tolerance": (_real, TOL.grid_vanish),
+    }, ("measure", _REQUIRED, {
+        "line": {"heights": (_reals, _REQUIRED), "densities": (_densities, _REQUIRED)},
+        "cross": {"densities": (_densities, _REQUIRED)},
+        "consecutive_witness": {"n": (_whole, _REQUIRED), "seed_density": (_density, None)},
+    })),
+    "kronecker_check": _Kind(_run_kronecker_check, {
+        "density": (_density, None),
+        "alpha": (_real, _REQUIRED),
+        "sample_count": (_whole, 401),
+        "tolerance": (_real, 1e-6),
+    }),
 }
 
 
 def run_scenario(scenario: Scenario, *, tolerance: float | None = None) -> Report:
     """Evaluate a scenario and return its report (no printing)."""
     given, values = _resolve(scenario, tolerance)
-    return Report(scenario.kind, given, *_RUNNERS[scenario.kind](values))
+    return Report(scenario.kind, given, *_KINDS[scenario.kind].run(values))
 
 
 def emit_grid(scenario: Scenario, out_path: str) -> int:

@@ -91,6 +91,43 @@ def test_fiber_extraction():
     assert fiber(raw, 0.0) == pytest.approx(fiber(lam, 0.0))
 
 
+def test_fiber_between_two_near_fibers_is_the_nearer_one():
+    # 0.75e-9 is within TOL.merge of both fiber keys: the union of the two,
+    # (0.5, 0.5, 1.25), repeats a phase and is no fiber of the set
+    lam = LambdaSet(((0.0, 0.5), (1.5e-9, 0.5), (1.5e-9, 1.25)))
+    assert partition(lam, 1, 3).fibers == {0.0: (0.5,), 1.5e-9: (0.5, 1.25)}
+    assert fiber(lam, 0.75e-9) == (0.5,)  # a tie goes to the smaller key
+    assert fiber(lam, 0.8e-9) == (0.5, 1.25)
+    assert fiber(lam, 0.7e-9) == (0.5,)
+
+
+def chained_instance(rng):
+    """Points whose xi steps sit below, at and above TOL.merge, so fibers
+    chain across it and neighbouring keys lie within TOL.merge of a query,
+    with phases at and across the wrap."""
+    steps = (0.0, 0.5e-9, 1e-9, 1.5e-9, 2e-9, 0.25)
+    phases = (0.0, 2.0, 2.0 - 1e-12, 1e-10, 0.5, 1.25, 1.999, -0.5)
+    points, xi = [], float(rng.uniform(-1.0, 1.0))
+    for _ in range(int(rng.integers(1, 9))):
+        xi += float(rng.choice(steps))
+        for _ in range(int(rng.integers(1, 4))):
+            points.append((xi, float(rng.choice(phases)) + 2.0 * int(rng.integers(-1, 2))))
+    return LambdaSet(tuple(points))
+
+
+def test_fiber_at_each_key_is_that_partition_fiber():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        lam = chained_instance(rng)
+        part = partition(lam, 1, 4)
+        for xi, etas in part.fibers.items():
+            assert fiber(lam, xi) == etas
+            for q in (xi - 0.75e-9, xi + 0.75e-9):
+                got = fiber(lam, q)
+                assert got in part.fibers.values()
+                assert len(set(got)) == len(got)
+
+
 def test_classify_small_counts():
     assert classify_fiber((0.5,), 2, 3) == 1
     assert classify_fiber((0.5, 1.0), 2, 3) == 2
@@ -114,6 +151,11 @@ def test_classify_validates_inputs():
         classify_fiber((0.1,), 1, 1)
     with pytest.raises(ValueError):
         classify_fiber((0.1,), -1, 3)
+    # partition holds the same contract with no fiber to classify
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        partition(LambdaSet(()), -1, 0)
+    with pytest.raises(ValueError, match="p >= n \\+ 1"):
+        partition(LambdaSet(()), 2, 2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -225,6 +225,9 @@ def test_precondition_errors_exit_two(tmp_path):
          "densities must hold n + 1 = 1 densities, not 2"),
         ("kind = cross_witness\nn = -1\n", "n must be non-negative"),
         ("kind = reduce\netas = [0.3]\nn = -1\np = 0\n", "n must be non-negative"),
+        # the (n, p) contract holds with no fiber to classify, as with one
+        ("kind = classify\npoints = []\nn = -1\np = 0\n", "n must be non-negative"),
+        ("kind = classify\npoints = [[0, 0.5]]\nn = -1\np = 0\n", "n must be non-negative"),
         # each phase root search would step past |t| = 26.6, where exp(t**2) overflows
         ("kind = exp_curve_witness\nc = 1e-120\n", "outward root search"),
         ("kind = surface_witness\ncase = slant\npoints = 2\nc = 1e-120\n",
@@ -261,7 +264,8 @@ def test_precondition_errors_exit_two(tmp_path):
          "xi_axis_nonzero_mean", "xi_axis_zero_density", "one_surface_point",
          "zero_step", "max_below_min", "no_kind", "no_cross_grid_points",
          "empty_cross_densities", "diagonal_densities_not_n_plus_one",
-         "diagonal_negative_n", "reduce_negative_n", "curve_tiny_slope",
+         "diagonal_negative_n", "reduce_negative_n", "classify_empty_negative_n",
+         "classify_one_point_negative_n", "curve_tiny_slope",
          "slant_tiny_slope", "slant_far_profile", "axis_psi_underflows",
          "axis_h_underflows", "grid_all_lambda_rows", "curve_negative_quad_tol",
          "curve_zero_quad_tol", "slant_negative_quad_tol", "axis_zero_quad_tol"],
