@@ -171,14 +171,9 @@ class FiberPartition:
         return Counter(self.classes.values())
 
 
-def partition(
-    lam: LambdaSet, n: int, p: int, *, discriminant_tol: float = TOL.discriminant
-) -> FiberPartition:
+def partition(lam: LambdaSet, n: int, p: int) -> FiberPartition:
     """Classify every fiber of the folded set; fibers partition its points."""
     _power_contract(n, p)
     fibers = dict(_fibers(lam))
-    classes = {
-        xi: classify_fiber(etas, n, p, discriminant_tol=discriminant_tol)
-        for xi, etas in fibers.items()
-    }
+    classes = {xi: classify_fiber(etas, n, p) for xi, etas in fibers.items()}
     return FiberPartition(fibers, classes)

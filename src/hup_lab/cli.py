@@ -260,9 +260,9 @@ def _value(label: str, given: dict, key: str, convert, default):
     return None if value is None and default is None else convert(key, value)
 
 
-def _resolve(scenario: Scenario, tolerance: float | None = None) -> tuple[dict, dict]:
-    """Scenario values over schema defaults and the tolerance override, as
-    given (the report echoes these) and converted (the runners read these).
+def _resolve(scenario: Scenario) -> tuple[dict, dict]:
+    """Scenario values over schema defaults, as given (the report echoes
+    these) and converted (the runners read these).
 
     A kind with cases takes its case word first; the word picks the schema.
     """
@@ -271,8 +271,6 @@ def _resolve(scenario: Scenario, tolerance: float | None = None) -> tuple[dict, 
     if entry is None:
         known = ", ".join(sorted(_KINDS))
         raise ScenarioError(f"unknown kind {kind!r} (known: {known})")
-    if tolerance is not None:
-        given["tolerance"] = float(tolerance)
     label, schema = kind, entry.keys
     if entry.cases is not None:
         key, default, cases = entry.cases
@@ -363,9 +361,11 @@ class Report:
 
 
 # Floors a witness must clear off its set and, on the curve, in absolute mass
-# against its profile, so that a zero or vanishing witness fails.
+# against its profile, so that a zero or vanishing witness fails; and the
+# floor of the residual that certifies a transform is not periodic.
 _OFF_SET_FLOOR = 1e-3
 _MASS_RATIO_FLOOR = 0.1
+_NONPERIODIC_FLOOR = 1e-6
 
 
 def _set_checks(names: tuple[str, str], on_max, off_max, tolerance) -> list[Check]:
@@ -410,37 +410,27 @@ def _run_consecutive_witness(p: dict) -> tuple[list[str], list[Check]]:
     off_max = float(np.max(np.abs(line_system_ft(measure, xi, off_eta))))
     infos = ["lambda_heights " + json.dumps(list(lam))]
     names = ("on_lambda_max", "off_lambda_max")
-    return infos, _set_checks(names, on_max, off_max, p["tolerance"])
+    return infos, _set_checks(names, on_max, off_max, TOL.grid_vanish)
 
 
 def _run_cross_witness(p: dict) -> tuple[list[str], list[Check]]:
-    if p["grid_points"] < 2:
-        raise ScenarioError("grid_points must be at least 2")
-    t = np.linspace(-10.0, 10.0, _capped(p["grid_points"], "grid_points"))
+    t = np.linspace(-10.0, 10.0, 1001)
     if p["variant"] == "diagonal":
         n = p["n"]
         if n < 0:
             raise ScenarioError("n must be non-negative")
-        # n + 1 levels on grid_points points, refused before any level is drawn
-        _capped((n + 1) * p["grid_points"], "n and grid_points")
-        densities = p["densities"]
-        if densities is None:
-            densities = _random_densities(n, np.random.default_rng(p["seed"]))
-        elif len(densities) != n + 1:
-            raise ScenarioError(
-                f"densities must hold n + 1 = {n + 1} densities, not {len(densities)}"
-            )
+        # n + 1 levels on the grid, refused before any level is drawn
+        _capped((n + 1) * t.size, "n")
+        densities = _random_densities(n, np.random.default_rng(p["seed"]))
         measure = construct_cross_diagonal_witness(densities)
         names, on_eta, off_eta = ("diagonal_max", "off_diagonal_max"), t, t + 1.0
     elif p["variant"] == "xi_axis":
-        f0 = _or(p["density"], odd_bump)
-        if abs(complex(f0.ft(0.0))) > TOL.grid_vanish:
-            raise ScenarioError("xi_axis variant needs a zero-mean base density")
+        f0 = odd_bump()  # zero mean, as the xi-axis witness needs
         measure = construct_cross_diagonal_witness([f0, -f0])
         names, on_eta, off_eta = ("axis_max", "off_axis_max"), 0.0, 0.5
     vanish = float(np.max(np.abs(cross_ft(measure, t, on_eta))))
     off = float(np.max(np.abs(cross_ft(measure, t, off_eta))))
-    return [], _set_checks(names, vanish, off, p["tolerance"])
+    return [], _set_checks(names, vanish, off, TOL.grid_vanish)
 
 
 def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
@@ -457,7 +447,8 @@ def _run_exp_curve_witness(p: dict) -> tuple[list[str], list[Check]]:
     phi_mass = absolute_mass(CurveDensity(profile, support_radius=extent)).value.real
     ratio = g_mass / phi_mass if phi_mass > 0 else math.inf
     infos = [f"quad_error_max {est_max:.17g}"]
-    on, off = _set_checks(("on_line_max", "off_line_max"), on_max, off_max, p["tolerance"])
+    names = ("on_line_max", "off_line_max")
+    on, off = _set_checks(names, on_max, off_max, TOL.curve_vanish)
     return infos, [on, _check("mass_ratio", ratio, ">=", _MASS_RATIO_FLOOR), off]
 
 
@@ -487,19 +478,17 @@ def _run_surface_witness(p: dict) -> tuple[list[str], list[Check]]:
         x1, x3 = np.zeros(points), axis_vals  # the hyperplane x1 = 0
     elif p["case"] == "slant":
         c = p["c"]
-        profile = _or(p["profile"], lambda: standard_witness_profile(c))
-        first = construct_single_line_witness(c, profile)
+        first = construct_single_line_witness(c, standard_witness_profile(c))
         x1, x3 = axis_vals, c * axis_vals  # the hyperplane x3 = c*x1
     grid = (x1[:, None], axis_vals[None, :], x3[:, None])
     surface = surface_ft(first, second, grid, abs_tol=p["quad_tol"])
     worst = float(np.max(np.abs(surface.value)))
-    checks = [_check("hyperplane_max", worst, "<=", p["tolerance"])]
-    return [], checks
+    return [], [_check("hyperplane_max", worst, "<=", TOL.curve_vanish)]
 
 
 def _run_classify(p: dict) -> tuple[list[str], list[Check]]:
     lam = LambdaSet(tuple(p["points"]))
-    part = partition(lam, p["n"], p["p"], discriminant_tol=p["tolerance"])
+    part = partition(lam, p["n"], p["p"])
     infos = []
     for xi in sorted(part.fibers):
         infos.append(
@@ -521,7 +510,7 @@ def _run_discriminant(p: dict) -> tuple[list[str], list[Check]]:
     checks = [_check("discriminant", value, ">=", 0.0)]
     if p["expect"] is not None:
         checks.append(
-            _check("matches_expected", abs(value - p["expect"]), "<=", p["tolerance"])
+            _check("matches_expected", abs(value - p["expect"]), "<=", TOL.discriminant)
         )
     return [], checks
 
@@ -537,8 +526,8 @@ def _run_reduce(p: dict) -> tuple[list[str], list[Check]]:
     rel_pivot = abs(reduction.pivots[-1] - formula) / max(1.0, abs(formula))
     infos = [f"pivot_product_abs {abs(pivot_product):.17g}"]
     checks = [
-        _check("pivot_product_vs_det", rel_det, "<=", p["tolerance"]),
-        _check("final_pivot_vs_formula", rel_pivot, "<=", p["tolerance"]),
+        _check("pivot_product_vs_det", rel_det, "<=", TOL.pivot_rel),
+        _check("final_pivot_vs_formula", rel_pivot, "<=", TOL.pivot_rel),
     ]
     return infos, checks
 
@@ -588,17 +577,13 @@ def _run_ft_grid(p: dict) -> tuple[list[str], list[Check]]:
     if heights:
         names = ("lambda_rows_max", "off_lambda_rows_max")
         on, off = row_max[on_lambda].max(), row_max[~on_lambda].max()
-        return infos, _set_checks(names, on, off, p["tolerance"])
+        return infos, _set_checks(names, on, off, TOL.grid_vanish)
     return infos, [_check("grid_evaluated", float(len(xi) * len(eta)), ">=", 1.0)]
 
 
 def _run_kronecker_check(p: dict) -> tuple[list[str], list[Check]]:
-    samples = _capped(p["sample_count"], "sample_count")
-    residual = translation_periodicity_residual(
-        _or(p["density"], gaussian), p["alpha"], samples
-    )
-    checks = [_check("nonperiodicity_residual", residual, ">=", p["tolerance"])]
-    return [], checks
+    residual = translation_periodicity_residual(_or(p["density"], gaussian), p["alpha"])
+    return [], [_check("nonperiodicity_residual", residual, ">=", _NONPERIODIC_FLOOR)]
 
 
 class _Kind(NamedTuple):
@@ -617,60 +602,46 @@ _KINDS = {
         "n": (_whole, _REQUIRED),
         "seed_density": (_density, None),
         **_axis("xi", -10.0, 10.0, 0.02),
-        "tolerance": (_real, TOL.grid_vanish),
     }),
-    "cross_witness": _Kind(_run_cross_witness, {
-        "grid_points": (_whole, 1001),
-        "tolerance": (_real, TOL.grid_vanish),
-    }, ("variant", "diagonal", {
-        "diagonal": {
-            "n": (_whole, 0),
-            "densities": (_densities, None),
-            "seed": (_whole, 0),
-        },
-        "xi_axis": {"density": (_density, None)},  # the base density
+    "cross_witness": _Kind(_run_cross_witness, {}, ("variant", "diagonal", {
+        "diagonal": {"n": (_whole, 0), "seed": (_whole, 0)},
+        "xi_axis": {},
     })),
     "exp_curve_witness": _Kind(_run_exp_curve_witness, {
         "c": (_real, _REQUIRED),
         "d": (_real, 1.0),
         **_axis("x", -5.0, 5.0, 0.02),
         "quad_tol": (_positive, TOL.quad_abs),
-        "tolerance": (_real, TOL.curve_vanish),
     }),
     "surface_witness": _Kind(_run_surface_witness, {
         "points": (_whole, 21),
         "h_density": (_density, None),
         "quad_tol": (_positive, TOL.quad_abs),
-        "tolerance": (_real, TOL.curve_vanish),
     }, ("case", "axis", {
         "axis": {"psi_density": (_density, None)},
-        "slant": {"c": (_real, 1.0), "profile": (_density, None)},
+        "slant": {"c": (_real, 1.0)},
     })),
     "classify": _Kind(_run_classify, {
         "points": (_pairs, _REQUIRED),
         "n": (_whole, _REQUIRED),
         "p": (_power, _REQUIRED),
         "expected_counts": (_counts, None),
-        "tolerance": (_real, TOL.discriminant),
     }),
     "discriminant": _Kind(_run_discriminant, {
         "etas": (_reals, _REQUIRED),
         "n": (_whole, _REQUIRED),
         "p": (_power, _REQUIRED),
         "expect": (_real, None),
-        "tolerance": (_real, TOL.discriminant),
     }),
     "reduce": _Kind(_run_reduce, {
         "etas": (_reals, _REQUIRED),
         "n": (_whole, _REQUIRED),
         "p": (_power, _REQUIRED),
-        "tolerance": (_real, TOL.pivot_rel),
     }),
     "ft_grid": _Kind(_run_ft_grid, {
         "lambda_heights": (_reals, None),
         **_axis("xi", -10.0, 10.0, 0.02),
         **_axis("eta", 0.0, 2.0, 0.5),
-        "tolerance": (_real, TOL.grid_vanish),
     }, ("measure", _REQUIRED, {
         "line": {"heights": (_reals, _REQUIRED), "densities": (_densities, _REQUIRED)},
         "cross": {"densities": (_densities, _REQUIRED)},
@@ -679,15 +650,13 @@ _KINDS = {
     "kronecker_check": _Kind(_run_kronecker_check, {
         "density": (_density, None),
         "alpha": (_real, _REQUIRED),
-        "sample_count": (_whole, 401),
-        "tolerance": (_real, 1e-6),
     }),
 }
 
 
-def run_scenario(scenario: Scenario, *, tolerance: float | None = None) -> Report:
+def run_scenario(scenario: Scenario) -> Report:
     """Evaluate a scenario and return its report (no printing)."""
-    given, values = _resolve(scenario, tolerance)
+    given, values = _resolve(scenario)
     return Report(scenario.kind, given, *_KINDS[scenario.kind].run(values))
 
 
@@ -722,12 +691,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="evaluate a scenario and print a report")
     run_parser.add_argument("scenario", help="path to a scenario file")
-    run_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override the scenario's primary tolerance",
-    )
     grid_parser = sub.add_parser("grid", help="write a transform grid CSV")
     grid_parser.add_argument("scenario", help="path to an ft_grid scenario file")
     grid_parser.add_argument("--out", required=True, help="CSV output path")
@@ -747,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         start = time.perf_counter()
         if args.command == "run":
-            report = run_scenario(scenario, tolerance=args.tolerance)
+            report = run_scenario(scenario)
             text, code = report.render(), (0 if report.overall else 1)
         else:
             rows = emit_grid(scenario, args.out)

@@ -345,7 +345,7 @@ def _panel_nodes(a, b, panels) -> tuple[np.ndarray, np.ndarray]:
     return mid[:, None] + half[:, None] * nodes, half[:, None, None] * weights
 
 
-def _paired_sums(fun, chunks, kernel, columns):
+def _paired_sums(fun, chunks, kernel, columns, stepped=False):
     """One pass of the paired rule over ``chunks`` for ``fun`` times each of
     ``columns`` kernels.
 
@@ -354,11 +354,12 @@ def _paired_sums(fun, chunks, kernel, columns):
     ``(panels, 2, columns)`` array (None: the plain integral, one column).
     ``fun`` is read once per chunk; the kernel is formed a few panels at a
     time, about ``_BLOCK`` entries.  Returns per column the Kronrod sum and
-    the sum over panels of ``|Kronrod - Gauss|``, and, with a kernel, the
-    moments against which :func:`_stepped_kernels` states its rounding
-    bound: over the panels, ``sum |w * fun|`` with the Kronrod weights
-    times ``(1, m, exp(m**2), m**2 * exp(m**2))``, ``m`` the panel's
-    largest ``|t|``.
+    the sum over panels of ``|Kronrod - Gauss|``, and the moments against
+    which :func:`_stepped_kernels` states its rounding bound: over the
+    panels, ``sum |w * fun|`` with the Kronrod weights times ``(1, m,
+    exp(m**2), m**2 * exp(m**2))``, ``m`` the panel's largest ``|t|``.
+    The moments are formed only when ``stepped``, when some kernel column
+    is a step power; otherwise no coefficient weighs them and they are 0.
     """
     total = np.zeros(columns, dtype=complex)
     err = np.zeros(columns)
@@ -366,7 +367,7 @@ def _paired_sums(fun, chunks, kernel, columns):
     for a, b, panels in chunks:
         t, w = _panel_nodes(a, b, panels)
         values = fun(t)[:, None, :] * w  # per panel: a Kronrod and a Gauss row
-        if kernel is not None:
+        if stepped:
             reach = np.abs(t).max(axis=1)
             grow = np.exp(reach * reach)
             powers = np.stack([np.ones_like(reach), reach, grow, reach * reach * grow])
@@ -398,7 +399,8 @@ def _stepped_kernels(x, y, opens):
     with the rounding of the step's ``exp``), ``k`` times the phase error
     of the step factor, and the distance from ``(x[j], y[j])`` to the grid
     point ``(x0 + k*dx, y0 + k*dy)``, each against ``|t|`` and
-    ``exp(t**2)``.  Column 0 of a piece has none.
+    ``exp(t**2)``.  Column 0 of a piece has none, so when no piece has a
+    second column the coefficients are None.
     """
     count = len(x)
     first = np.flatnonzero(opens)
@@ -407,20 +409,22 @@ def _stepped_kernels(x, y, opens):
     power = np.arange(count) - first[piece]
     top = int(power.max())
     dx, dy = ((v[last] - v[first]) / np.maximum(last - first, 1) for v in (x, y))
-    eps, k, once = np.finfo(float).eps, power.astype(float), np.minimum(power, 1)
+    rounding = None
+    if top:
+        eps, k, once = np.finfo(float).eps, power.astype(float), np.minimum(power, 1)
 
-    def mismatch(v, dv):
-        v0 = v[first][piece]
-        slack = eps * (k * np.abs(dv) + once * (np.abs(v0) + np.abs(v)))
-        return np.abs(v - (v0 + k * dv)) + slack
+        def mismatch(v, dv):
+            v0 = v[first][piece]
+            slack = eps * (k * np.abs(dv) + once * (np.abs(v0) + np.abs(v)))
+            return np.abs(v - (v0 + k * dv)) + slack
 
-    step_x, step_y = dx[piece], dy[piece]
-    rounding = np.stack([
-        4.0 * eps * k,
-        math.pi * (2.0 * eps * k * np.abs(step_x) + mismatch(x, step_x)),
-        math.pi * (3.0 * eps * k * np.abs(step_y) + mismatch(y, step_y)),
-        math.pi * eps * k * np.abs(step_y),
-    ], axis=-1)
+        step_x, step_y = dx[piece], dy[piece]
+        rounding = np.stack([
+            4.0 * eps * k,
+            math.pi * (2.0 * eps * k * np.abs(step_x) + mismatch(x, step_x)),
+            math.pi * (3.0 * eps * k * np.abs(step_y) + mismatch(y, step_y)),
+            math.pi * eps * k * np.abs(step_y),
+        ], axis=-1)
     take = power * first.size + piece
     x0, y0, sx, sy = (v[:, None, None] for v in (x[first], y[first], dx, dy))
 
@@ -468,15 +472,16 @@ def _refined_sums(fun, chunks, abs_tol, x=None, y=None, run=None):
     todo = np.arange(count)
     if run is not None:
         run = np.array(run)
-    kernel, rounding = None, np.zeros((1, 4))
+    kernel, rounding = None, None
     for attempt in range(5):
         layout = [(a, b, panels << attempt) for a, b, panels in chunks]
         if x is not None:
             opens = np.ones(todo.size, dtype=bool)
             opens[1:] = (np.diff(run[todo]) != 0) | (np.diff(todo) != 1)
             kernel, rounding = _stepped_kernels(x[todo], y[todo], opens)
-        total, err, moments = _paired_sums(fun, layout, kernel, len(todo))
-        rounded = rounding @ moments
+        stepped = rounding is not None
+        total, err, moments = _paired_sums(fun, layout, kernel, len(todo), stepped)
+        rounded = rounding @ moments if stepped else np.zeros(len(todo))
         values[todo], errors[todo] = total, err + rounded
         # a frequency whose recurrence rounding takes half the tolerance
         # is summed by its own exp from the next pass on

@@ -385,18 +385,15 @@ def construct_cross_diagonal_witness(densities: Sequence[Density]) -> CrossMeasu
     return CrossMeasure(densities)
 
 
-def translation_periodicity_residual(
-    f: Density, alpha: float, sample_count: int = 401
-) -> float:
-    """Max of ``|ft(f)(t + alpha) - ft(f)(t)|`` over ``t in [-20, 20]``.
+def translation_periodicity_residual(f: Density, alpha: float) -> float:
+    """Max of ``|ft(f)(t + alpha) - ft(f)(t)|`` over 401 equally spaced
+    ``t in [-20, 20]``.
 
     A strictly positive value certifies the transform is not
-    ``alpha``-periodic; the samples are equally spaced.
+    ``alpha``-periodic.
     """
     alpha = float(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if sample_count < 2:
-        raise ValueError("need at least two samples")
-    t = np.linspace(-20.0, 20.0, int(sample_count))
+    t = np.linspace(-20.0, 20.0, 401)
     return float(np.max(np.abs(f.ft(t + alpha) - f.ft(t))))

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -311,6 +312,19 @@ def test_classify_threshold_is_set_by_the_widest_arrangement():
 
 def test_classify_full_roots_fiber_at_largest_benchmark_size():
     assert classify_fiber(roots_of_unity(14), 5, 14) == 6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a 1e-9 bound on gap * |h| reads rounding as class n + 2",
+)
+@pytest.mark.parametrize("n, p", [(3, 300), (5, 100), (8, 60)])
+def test_rotated_roots_fiber_is_class_n_plus_one_at_large_p(n, p):
+    # z^p is constant on the p-th roots of unity, rotated or not, so the
+    # fiber is class n + 1; today gap * |h| reaches 1.5e-8, 4.3e-8 and
+    # 2.7e-8 here, far enough past 1e-9 that host rounding cannot flip it
+    etas = [math.fmod(0.123 + 2.0 * k / p, 2.0) for k in range(p)]
+    assert classify_fiber(etas, n, p) == n + 1
 
 
 def test_max_gap_times_h_is_largest_arrangement_difference():

@@ -123,19 +123,12 @@ def test_reports_are_deterministic():
 
 
 def test_random_cross_scenario_is_seed_deterministic():
-    base = {"n": 2, "grid_points": 101, "seed": 11}
+    base = {"n": 2, "seed": 11}
     a = run_scenario(Scenario("cross_witness", dict(base))).render()
     b = run_scenario(Scenario("cross_witness", dict(base))).render()
     c = run_scenario(Scenario("cross_witness", dict(base, seed=12))).render()
     assert a == b
     assert a != c
-
-
-def test_tolerance_override_can_fail_a_check():
-    s = Scenario("consecutive_witness", {"n": 1, "xi_step": 0.5})
-    assert run_scenario(s).overall
-    forced = run_scenario(s, tolerance=1e-20)
-    assert not forced.overall
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -145,7 +138,11 @@ def test_main_run_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "overall PASS" in out
 
-    assert main(["run", good, "--tolerance", "1e-20"]) == 1
+    text = (
+        "kind = classify\npoints = [[0, 0.0], [0, 0.5], [0, 1.5]]\nn = 1\np = 3\n"
+        'expected_counts = {"2": 1}\n'
+    )
+    assert main(["run", write(tmp_path, "counts.scenario", text)]) == 1
     assert "overall FAIL" in capsys.readouterr().out
 
     # a zero measure vanishes on its lambda rows too; its off-set check fails it
@@ -208,21 +205,13 @@ def test_precondition_errors_exit_two(tmp_path):
         ("kind = ft_grid\nmeasure = consecutive_witness\n",
          "ft_grid measure = consecutive_witness requires the 'n' key"),
         ("kind = ft_grid\n", "ft_grid requires the 'measure' key"),
-        ("kind = cross_witness\nvariant = xi_axis\n"
-         'density = [{"kind": "gaussian"}]\n', "zero-mean"),
-        # only null selects the default odd bump; [] is the zero density
-        ("kind = cross_witness\nvariant = xi_axis\ndensity = []\n",
-         "all cross levels are zero"),
         ("kind = surface_witness\npoints = 1\n", "at least 2 points"),
         ("kind = consecutive_witness\nn = 1\nxi_step = 0\n", "xi grid needs step > 0"),
         ("kind = consecutive_witness\nn = 1\nxi_min = 1\nxi_max = -1\n",
          "max >= min"),
         ("n = 1\n", "missing the 'kind' key"),
-        ("kind = cross_witness\ngrid_points = 0\n", "grid_points must be at least 2"),
         ("kind = ft_grid\nmeasure = cross\ndensities = []\n",
          "densities must hold at least one density"),
-        ("kind = cross_witness\ndensities = [[{\"kind\": \"gaussian\"}], []]\n",
-         "densities must hold n + 1 = 1 densities, not 2"),
         ("kind = cross_witness\nn = -1\n", "n must be non-negative"),
         ("kind = reduce\netas = [0.3]\nn = -1\np = 0\n", "n must be non-negative"),
         # the (n, p) contract holds with no fiber to classify, as with one
@@ -231,10 +220,6 @@ def test_precondition_errors_exit_two(tmp_path):
         # each phase root search would step past |t| = 26.6, where exp(t**2) overflows
         ("kind = exp_curve_witness\nc = 1e-120\n", "outward root search"),
         ("kind = surface_witness\ncase = slant\npoints = 2\nc = 1e-120\n",
-         "outward root search"),
-        ("kind = surface_witness\ncase = slant\npoints = 2\nprofile = ["
-         '{"kind": "triangle", "center": 1e56, "width": 0.5, "amplitude": 1}, '
-         '{"kind": "triangle", "center": -1e56, "width": 0.5, "amplitude": -1}]\n',
          "outward root search"),
         # a factor that underflows on the curve's support has absolute mass 0
         pytest.param(
@@ -261,12 +246,10 @@ def test_precondition_errors_exit_two(tmp_path):
     ],
     ids=["unknown_variant", "unknown_case", "unknown_measure", "line_without_heights",
          "cross_without_densities", "consecutive_without_n", "grid_without_measure",
-         "xi_axis_nonzero_mean", "xi_axis_zero_density", "one_surface_point",
-         "zero_step", "max_below_min", "no_kind", "no_cross_grid_points",
-         "empty_cross_densities", "diagonal_densities_not_n_plus_one",
-         "diagonal_negative_n", "reduce_negative_n", "classify_empty_negative_n",
+         "one_surface_point", "zero_step", "max_below_min", "no_kind",
+         "empty_cross_densities", "diagonal_negative_n", "reduce_negative_n", "classify_empty_negative_n",
          "classify_one_point_negative_n", "curve_tiny_slope",
-         "slant_tiny_slope", "slant_far_profile", "axis_psi_underflows",
+         "slant_tiny_slope", "axis_psi_underflows",
          "axis_h_underflows", "grid_all_lambda_rows", "curve_negative_quad_tol",
          "curve_zero_quad_tol", "slant_negative_quad_tol", "axis_zero_quad_tol"],
 )
@@ -287,7 +270,7 @@ CROSS_GRID += SMALL_GRID
 CONSECUTIVE_GRID = "kind = ft_grid\nmeasure = consecutive_witness\nn = 1\n" + SMALL_GRID
 AXIS = "kind = surface_witness\ncase = axis\npoints = 2\n"
 SLANT = "kind = surface_witness\ncase = slant\npoints = 2\n"
-XI_AXIS = "kind = cross_witness\nvariant = xi_axis\ngrid_points = 11\n"
+XI_AXIS = "kind = cross_witness\nvariant = xi_axis\n"
 
 
 @pytest.mark.parametrize(
@@ -318,6 +301,58 @@ def test_keys_of_another_case_are_refused(tmp_path, capsys, text, case, key):
     captured = capsys.readouterr()
     assert "overall" not in captured.out
     assert f"unknown keys for {case}: {key}\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, label, key",
+    [
+        ("kind = consecutive_witness\nn = 1\ntolerance = 1e-12\n",
+         "consecutive_witness", "tolerance"),
+        ("kind = cross_witness\ntolerance = 1e-12\n",
+         "cross_witness variant = diagonal", "tolerance"),
+        ("kind = exp_curve_witness\nc = 2.0\ntolerance = 1e-6\n",
+         "exp_curve_witness", "tolerance"),
+        (AXIS + "tolerance = 1e-6\n", "surface_witness case = axis", "tolerance"),
+        ("kind = classify\npoints = [[0, 0.5]]\nn = 1\np = 3\ntolerance = 1e-9\n",
+         "classify", "tolerance"),
+        ("kind = discriminant\netas = [0.0, 0.5, 1.5]\nn = 1\np = 3\ntolerance = 1e-9\n",
+         "discriminant", "tolerance"),
+        ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1\np = 3\ntolerance = 1e-9\n",
+         "reduce", "tolerance"),
+        (LINE_GRID + "tolerance = 1e-12\n", "ft_grid measure = line", "tolerance"),
+        ("kind = kronecker_check\nalpha = 1.5\ntolerance = 1e-6\n",
+         "kronecker_check", "tolerance"),
+        ("kind = cross_witness\ngrid_points = 1001\n",
+         "cross_witness variant = diagonal", "grid_points"),
+        ('kind = cross_witness\ndensities = [[{"kind": "gaussian"}]]\n',
+         "cross_witness variant = diagonal", "densities"),
+        ('kind = cross_witness\nvariant = xi_axis\ndensity = [{"kind": "odd_bump"}]\n',
+         "cross_witness variant = xi_axis", "density"),
+        (SLANT + "profile = []\n", "surface_witness case = slant", "profile"),
+        ("kind = kronecker_check\nalpha = 1.5\nsample_count = 401\n",
+         "kronecker_check", "sample_count"),
+    ],
+    ids=["consecutive_tolerance", "cross_tolerance", "curve_tolerance",
+         "surface_tolerance", "classify_tolerance", "discriminant_tolerance",
+         "reduce_tolerance", "grid_tolerance", "kronecker_tolerance",
+         "cross_grid_points", "diagonal_densities", "xi_axis_density",
+         "slant_profile", "kronecker_sample_count"],
+)
+def test_fixed_thresholds_and_sizes_are_not_keys(tmp_path, capsys, text, label, key):
+    # each is the one value every run uses, so setting it, even to that
+    # value, is refused
+    assert main(["run", write(tmp_path, "f.scenario", text)]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert f"unknown keys for {label}: {key}\n" in captured.err
+
+
+def test_run_takes_no_tolerance_flag(tmp_path, capsys):
+    good = write(tmp_path, "good.scenario", FAST_WITNESS)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", good, "--tolerance", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -389,25 +424,6 @@ def test_nonfinite_scalar_is_refused(tmp_path, value):
     assert main(["run", path]) == 2
 
 
-def test_nonfinite_tolerance_override_is_refused(tmp_path):
-    # a NaN tolerance would make every "> tolerance" test false and class
-    # every searched fiber n+1 without a word
-    path = write(
-        tmp_path,
-        "classify.scenario",
-        "kind = classify\npoints = [[0, 0.0], [0, 0.5], [0, 1.5]]\nn = 1\np = 3\n",
-    )
-    with pytest.raises(ScenarioError, match="non-finite"):
-        run_scenario(load_scenario(path), tolerance=float("nan"))
-    assert main(["run", path, "--tolerance", "nan"]) == 2
-    # the grid CSV has no check, so grid takes no --tolerance at all
-    grid = write(tmp_path, "grid.scenario", FAST_GRID)
-    with pytest.raises(SystemExit) as exc:
-        main(["grid", grid, "--out", str(tmp_path / "g.csv"), "--tolerance", "inf"])
-    assert exc.value.code == 2
-    assert main(["run", path, "--tolerance", "1e-9"]) == 0
-
-
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -415,8 +431,7 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
         ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = [1]\np = 3\n", "n"),
         ('kind = exp_curve_witness\nc = {"a": 1}\n', "c"),
         # null stands for the default only where the default is null
-        ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1\np = 3\ntolerance = null\n",
-         "tolerance"),
+        ("kind = exp_curve_witness\nc = 2.0\nd = null\n", "d"),
         ("kind = classify\npoints = [[0, 0.5]]\nn = 1\np = 3\nexpected_counts = [1]\n",
          "expected_counts"),
         # elements are checked at any depth
@@ -427,8 +442,6 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
         ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = 1.9\np = 3.7\n", "n"),
         ("kind = surface_witness\npoints = 3.9\n", "points"),
         ("kind = reduce\netas = [0.0, 0.5, 1.5]\nn = true\np = 3\n", "n"),
-        # xi_axis takes one base density, not a list of them
-        ("kind = cross_witness\nvariant = xi_axis\ndensity = [[]]\n", "density"),
         # "3" and "3.0" name one class
         ("kind = classify\npoints = [[0, 0], [0, 0.5], [0, 1.5]]\nn = 1\np = 3\n"
          'expected_counts = {"3": 1, "3.0": 5}\n', "expected_counts"),
@@ -436,20 +449,17 @@ def test_nonfinite_tolerance_override_is_refused(tmp_path):
         ("kind = consecutive_witness\nn = 1\nxi_step = 1e-300\n", "xi_step"),
         ("kind = consecutive_witness\nn = 1\nxi_min = -1e308\nxi_max = 1e308\n",
          "xi_step"),
-        ("kind = cross_witness\ngrid_points = 100000000000000000000\n", "grid_points"),
         ("kind = surface_witness\npoints = 100000000000000000000\n", "points"),
-        ("kind = kronecker_check\nalpha = 1.5\nsample_count = 1e20\n", "sample_count"),
         # so is n: n + 2 lines checked on n + 1 heights, and n + 1 random cross
-        # levels on grid_points points, refused before any level is drawn
+        # levels on 1001 points, refused before any level is drawn
         ("kind = consecutive_witness\nn = 1000000000000000\n", "n"),
         ("kind = ft_grid\nmeasure = consecutive_witness\nn = 1000000000000000\n", "n"),
-        ("kind = cross_witness\nn = 1000000000000000\n", "n and grid_points"),
+        ("kind = cross_witness\nn = 1000000000000000\n", "n"),
     ],
     ids=["number_for_list", "list_for_number", "object_for_number", "null_for_number",
          "list_for_object", "list_in_number_list", "list_in_atom", "fraction_for_whole",
-         "fraction_for_points", "bool_for_whole", "empty_xi_axis_densities",
-         "class_written_twice", "tiny_step", "overflowing_span", "huge_grid_points",
-         "huge_surface", "huge_sample_count", "huge_consecutive_n", "huge_grid_n",
+         "fraction_for_points", "bool_for_whole", "class_written_twice", "tiny_step",
+         "overflowing_span", "huge_surface", "huge_consecutive_n", "huge_grid_n",
          "huge_cross_n"],
 )
 def test_mistyped_values_are_refused(tmp_path, capsys, text, key):
@@ -691,7 +701,7 @@ def test_density_atoms_round_trip_through_scenarios():
         {"kind": "odd_bump", "width": 0.5},
     ]
     s = Scenario(
-        "kronecker_check", {"alpha": 1.0, "density": atoms, "sample_count": 51}
+        "kronecker_check", {"alpha": 1.0, "density": atoms}
     )
     report = run_scenario(s)
     assert report.overall
@@ -725,27 +735,6 @@ def test_classify_scenario_counts_mismatch_fails(tmp_path):
     )
     path = write(tmp_path, "c.scenario", text)
     assert main(["run", path, "--quiet"]) == 1
-
-
-def test_discriminant_expectation_reads_tolerance(capsys):
-    path = str(SCENARIOS / "discriminant.scenario")
-    assert main(["run", path]) == 0
-    out = capsys.readouterr().out
-    assert "check matches_expected" in out and "threshold=1.0000000000000001e-09" in out
-    assert main(["run", path, "--tolerance", "1e-300"]) == 1
-    out = capsys.readouterr().out
-    assert "threshold=1e-300 op=le result=FAIL" in out
-    assert "check discriminant measured" in out and "overall FAIL" in out
-
-
-def test_kronecker_residual_floor_reads_tolerance(tmp_path, capsys):
-    path = str(SCENARIOS / "kronecker_check.scenario")
-    assert main(["run", path, "--quiet"]) == 0
-    assert main(["run", path, "--tolerance", "1e9"]) == 1
-    assert "threshold=1000000000 op=ge result=FAIL" in capsys.readouterr().out
-    text = "kind = kronecker_check\nalpha = 1.5\ntolerance = 1e9\n"
-    floor = write(tmp_path, "k.scenario", text)
-    assert main(["run", floor, "--quiet"]) == 1
 
 
 def test_empty_density_is_the_zero_density(tmp_path, capsys):

@@ -478,9 +478,9 @@ def _count_columns(monkeypatch) -> list[int]:
     passes = []
     paired_sums = curves._paired_sums
 
-    def spy(fun, chunks, kernel, columns):
+    def spy(fun, chunks, kernel, columns, stepped=False):
         passes.append(columns)
-        return paired_sums(fun, chunks, kernel, columns)
+        return paired_sums(fun, chunks, kernel, columns, stepped)
 
     monkeypatch.setattr(curves, "_paired_sums", spy)
     return passes
@@ -523,13 +523,13 @@ def test_each_frequency_is_summed_once_per_pass_in_groups(monkeypatch, shuffled)
     calls = []
     paired_sums = curves._paired_sums
 
-    def spy(fun, chunks, kernel, columns):
+    def spy(fun, chunks, kernel, columns, stepped=False):
         probe = _kernel_columns(kernel)
         gap = np.abs(probe[:, None, :] - direct[None, :, :]).max(axis=-1)
         assert np.all(gap.min(axis=1) <= 1e-12)
         calls.append(gap.argmin(axis=1))
         assert calls[-1].size == columns
-        return paired_sums(fun, chunks, kernel, columns)
+        return paired_sums(fun, chunks, kernel, columns, stepped)
 
     monkeypatch.setattr(curves, "_paired_sums", spy)
     f = gaussian(center=0.1, width=0.2)

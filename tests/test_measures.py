@@ -304,8 +304,6 @@ def test_translation_residual_even_in_alpha_for_even_density():
 def test_translation_residual_validates_inputs():
     with pytest.raises(ValueError):
         translation_periodicity_residual(gaussian(), 0.0)
-    with pytest.raises(ValueError):
-        translation_periodicity_residual(gaussian(), 1.0, sample_count=1)
 
 
 def test_atom_width_must_be_positive():
