@@ -660,26 +660,44 @@ def run_scenario(scenario: Scenario) -> Report:
     return Report(scenario.kind, given, *_KINDS[scenario.kind].run(values))
 
 
+# CSV rows laid out per batch: the writer holds about 0.5 MB at a time
+_BATCH = 512
+
+
 def emit_grid(scenario: Scenario, out_path: str) -> int:
     """Write the CSV grid of an ``ft_grid`` scenario; returns the row count.
 
     Columns are ``xi,eta,re,im,abs`` with 17 significant digits, rows in
-    row-major order (xi outer, eta inner).  One template per grid holds
-    every eta's line with its eta formatted once; each xi row fills in its
-    xi and its values and goes out in one write.
+    row-major order (xi outer, eta inner).  The fields are ``%.17g`` by
+    ``_decimal.fields``; every eta is formatted once, and each batch of at
+    most ``_BATCH`` rows is laid out in one byte matrix whose NUL padding is
+    dropped as it goes out in one write.
     """
+    # imported here, so that importing the CLI or running a report does
+    # not pay for the module that only grid writes use
+    from ._decimal import WIDTH, fields
+
     if scenario.kind != "ft_grid":
         raise ScenarioError("the grid command needs an ft_grid scenario")
     xi, eta, _, blocks = _grid_rows(_resolve(scenario)[1])
-    template = "".join(f"\0,{e:.17g},%.17g,%.17g,%.17g\n" for e in eta.tolist())
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("xi,eta,re,im,abs\n")
+    eta_text = fields(eta)
+    # per row five fields, each followed by its comma or newline
+    rows = np.empty((_BATCH, 5, WIDTH + 1), dtype=np.uint8)
+    rows[:, :, WIDTH] = np.frombuffer(b",,,,\n", dtype=np.uint8)
+    with open(out_path, "wb") as fh:
+        fh.write(b"xi,eta,re,im,abs\n")
         for xs, values, mags in blocks:
-            table = np.stack((values.real, values.imag, mags), axis=-1)
-            # one row's floats at a time: a whole block's list is a transient
-            # the size of the block
-            for x, row in zip(xs.tolist(), table.reshape(len(xs), -1)):
-                fh.write(template.replace("\0", f"{x:.17g}") % tuple(row.tolist()))
+            table = np.stack((values.real, values.imag, mags), axis=-1).reshape(-1, 3)
+            for start in range(0, len(table), _BATCH):
+                stop = min(start + _BATCH, len(table))
+                row, col = np.divmod(np.arange(start, stop), len(eta))
+                row_xs = xs[row[0]:row[-1] + 1]
+                text = fields(np.concatenate((row_xs, table[start:stop].ravel())))
+                batch = rows[:stop - start]
+                batch[:, 0, :WIDTH] = text.take(row - row[0], axis=0)
+                batch[:, 1, :WIDTH] = eta_text.take(col, axis=0)
+                batch[:, 2:, :WIDTH] = text[len(row_xs):].reshape(-1, 3, WIDTH)
+                fh.write(batch.tobytes().translate(None, b"\0"))
     return len(xi) * len(eta)
 
 

@@ -277,12 +277,9 @@ XI_AXIS = "kind = cross_witness\nvariant = xi_axis\n"
     "text, case, key",
     [
         (AXIS + "c = 5.0\n", "surface_witness case = axis", "c"),
-        (AXIS + "profile = []\n", "surface_witness case = axis", "profile"),
         (SLANT + "psi_density = []\n", "surface_witness case = slant", "psi_density"),
         (XI_AXIS + "n = 7\n", "cross_witness variant = xi_axis", "n"),
         (XI_AXIS + "seed = 3\n", "cross_witness variant = xi_axis", "seed"),
-        (XI_AXIS + 'densities = [[{"kind": "odd_bump"}], [{"kind": "gaussian"}]]\n',
-         "cross_witness variant = xi_axis", "densities"),
         (LINE_GRID + "n = 1\n", "ft_grid measure = line", "n"),
         (LINE_GRID + "seed_density = []\n", "ft_grid measure = line", "seed_density"),
         (CROSS_GRID + "heights = [0.0]\n", "ft_grid measure = cross", "heights"),
@@ -291,9 +288,9 @@ XI_AXIS = "kind = cross_witness\nvariant = xi_axis\n"
         (CONSECUTIVE_GRID + "densities = [[]]\n",
          "ft_grid measure = consecutive_witness", "densities"),
     ],
-    ids=["axis_c", "axis_profile", "slant_psi_density", "xi_axis_n", "xi_axis_seed",
-         "xi_axis_densities", "line_n", "line_seed_density", "cross_heights",
-         "consecutive_heights", "consecutive_densities"],
+    ids=["axis_c", "slant_psi_density", "xi_axis_n", "xi_axis_seed", "line_n",
+         "line_seed_density", "cross_heights", "consecutive_heights",
+         "consecutive_densities"],
 )
 def test_keys_of_another_case_are_refused(tmp_path, capsys, text, case, key):
     # each case has its own schema: a key only another case reads is unknown
@@ -650,6 +647,33 @@ ORACLE_GRIDS = {
             _axis(0.0, 0.1, 21),
         ),
     ),
+    # the transform of a gaussian runs through exponent form, through
+    # subnormals near |xi| = 30.5 and to exact zeros from |xi| = 31 on
+    "gaussian_tails": (
+        "kind = ft_grid\nmeasure = line\nheights = [0.0]\n"
+        'densities = [[{"kind": "gaussian", "width": 1.0}]]\n'
+        "xi_min = -32.0\nxi_max = 32.0\nxi_step = 0.25\n"
+        "eta_min = 0.0\neta_max = 2.0\neta_step = 0.5\n",
+        lambda: (
+            line_system_ft,
+            LineMeasure((0.0,), (measures.gaussian(0.0, 1.0),)),
+            _axis(-32.0, 0.25, 257),
+            _axis(0.0, 0.5, 5),
+        ),
+    ),
+    # 8 xi rows of 201 eta values are more rows than one batch of the
+    # writer holds, so a batch ends, and the next starts, inside an xi row
+    "split_batches": (
+        "kind = ft_grid\nmeasure = consecutive_witness\nn = 1\n"
+        "xi_min = -1.0\nxi_max = 1.0\nxi_step = 0.25\n"
+        "eta_min = 0.0\neta_max = 2.0\neta_step = 0.01\n",
+        lambda: (
+            line_system_ft,
+            construct_consecutive_witness(1, measures.gaussian(0.0, 1.0))[0],
+            _axis(-1.0, 0.25, 9),
+            _axis(0.0, 0.01, 201),
+        ),
+    ),
 }
 
 
@@ -757,7 +781,8 @@ def test_empty_density_is_the_zero_density(tmp_path, capsys):
         "kind = surface_witness\npoints = 3\npsi_density = []\n",
         "kind = surface_witness\npoints = 3\nh_density = []\n",
         "kind = surface_witness\ncase = slant\npoints = 3\nh_density = []\n",
-        "kind = surface_witness\ncase = slant\npoints = 3\nprofile = []\n",
+        # a slant factor that underflows on the curve
+        'kind = surface_witness\ncase = slant\npoints = 3\nh_density = [{"kind":"gaussian","center":-30}]\n',
         # supported in [9, 11], off the curve's [-2.5, 2.5]
         'kind = surface_witness\ncase = axis\npsi_density = [{"kind":"triangle","center":10}]\n',
         'kind = surface_witness\ncase = axis\nh_density = [{"kind":"triangle","center":10}]\n',
@@ -766,7 +791,9 @@ def test_empty_density_is_the_zero_density(tmp_path, capsys):
 def test_zero_surface_factor_is_refused(tmp_path, capsys, text):
     # a zero factor makes the whole surface witness zero, which would pass
     assert main(["run", write(tmp_path, "s.scenario", text)]) == 2
-    assert "overall" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert "absolute mass" in captured.err
 
 
 def test_null_density_selects_the_default():
