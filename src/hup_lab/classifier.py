@@ -118,20 +118,14 @@ def fiber(lam: LambdaSet, xi: float) -> tuple[float, ...]:
     return min(near, key=itemgetter(0))[1] if near else ()
 
 
-def classify_fiber(
-    etas: Sequence[float],
-    n: int,
-    p: int,
-    *,
-    discriminant_tol: float = TOL.discriminant,
-) -> int:
+def classify_fiber(etas: Sequence[float], n: int, p: int) -> int:
     """Class index in ``1..n+2`` of one fiber's phase set.
 
     ``etas`` must be finite and distinct mod 2 by more than ``TOL.merge``,
     as :func:`fold_periodic` leaves them; repeated phases are refused.
     With ``P`` the first ``n + 1`` sorted phases, the fiber is class
     ``n + 2`` as soon as some other phase ``x`` gives ``S = P + {x}`` with
-    ``max |a - b| * |h_{p-n-1}(S)|`` above ``discriminant_tol``, and class
+    ``max |a - b| * |h_{p-n-1}(S)|`` above ``TOL.discriminant``, and class
     ``n + 1`` otherwise.  Only these ``(n + 2)``-subsets are weighed, so
     near the tolerance a fiber that some other subset would push just over
     it can come out class ``n + 1``; a fiber every subset keeps under it is
@@ -155,7 +149,7 @@ def classify_fiber(
     for x in nodes[n + 1 :]:
         subset = base + (x,)
         gap = max(abs(a - b) for a, b in combinations(subset, 2))
-        if gap * abs(complete_homogeneous(degree, subset)) > discriminant_tol:
+        if gap * abs(complete_homogeneous(degree, subset)) > TOL.discriminant:
             return n + 2
     return n + 1
 

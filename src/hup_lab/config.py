@@ -1,7 +1,9 @@
 """Central tolerance constants, quadrature policy and the grid size cap.
 
-Every numeric threshold used by the library lives here so that tests,
-the CLI, and the acceptance suite all read the same numbers.
+The library's tolerances live here so that tests, the CLI, and the
+acceptance suite all read the same numbers.  The CLI's check floors
+(``_OFF_SET_FLOOR``, ``_MASS_RATIO_FLOOR``, ``_NONPERIODIC_FLOOR``) live
+in ``cli.py`` beside the runners that read them.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ __all__ = ["TOL", "Tolerances"]
 @dataclass(frozen=True)
 class Tolerances:
     """Bundle of the numeric tolerances used across the package."""
-
-    # unit-circle nodes
-    unimodular_eps: float = 1e-12
 
     # linear systems
     node_gap: float = 1e-9          # below this pairwise gap a system is refused

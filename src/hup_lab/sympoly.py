@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .config import TOL
-
 __all__ = [
     "UnimodularTuple",
     "complete_homogeneous",
@@ -45,14 +43,17 @@ class UnimodularTuple:
 
     @classmethod
     def from_phases(cls, etas: Iterable[float]) -> "UnimodularTuple":
-        """Build ``a_j = exp(i*pi*eta_j)`` from real phase parameters."""
-        vals = tuple(cmath.exp(1j * math.pi * float(e)) for e in etas)
-        out = cls(vals)
-        eps = TOL.unimodular_eps
-        for a in out.values:
-            if not (1.0 - eps <= abs(a) <= 1.0 + eps):
-                raise ValueError(f"point {a!r} is not unimodular")
-        return out
+        """Build ``a_j = exp(i*pi*eta_j)`` from real phase parameters.
+
+        A non-finite phase is refused by name.  Every finite one lands
+        within two ulps of the unit circle, or past about 5.7e307 makes
+        ``cmath.exp`` raise ``ValueError``.
+        """
+        etas = tuple(float(e) for e in etas)
+        for e in etas:
+            if not math.isfinite(e):
+                raise ValueError(f"phase {e!r} is not finite")
+        return cls(tuple(cmath.exp(1j * math.pi * e) for e in etas))
 
     def min_gap(self) -> float:
         """Smallest pairwise distance; ``inf`` for fewer than two points."""

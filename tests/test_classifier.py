@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 
 from hup_lab import (
     LambdaSet,
+    classifier,
     classify_fiber,
     complete_homogeneous,
     construct_consecutive_witness,
@@ -14,6 +16,7 @@ from hup_lab import (
     gaussian,
     partition,
 )
+from hup_lab.config import TOL
 
 from conftest import (
     h_brute,
@@ -292,7 +295,7 @@ def test_classify_matches_oracle_on_random_phases():
             assert classify_fiber(etas, n, p) == reference_classify(etas, n, p)
 
 
-def test_classify_threshold_is_set_by_the_widest_arrangement():
+def test_classify_threshold_is_set_by_the_widest_arrangement(monkeypatch):
     # one (n+2)-subset whose arrangements straddle the tolerance: the top
     # class needs only the largest h-difference to clear it, as in the oracle
     rng = np.random.default_rng(13)
@@ -306,8 +309,22 @@ def test_classify_threshold_is_set_by_the_widest_arrangement():
         assert max(gaps) > 1.1 * min(gaps)
         straddle = h * (min(gaps) + max(gaps)) / 2.0
         for tol, want in ((straddle, n + 2), (max(gaps) * h * 1.01, n + 1)):
-            got = classify_fiber(etas, n, p, discriminant_tol=tol)
+            monkeypatch.setattr(classifier, "TOL", dataclasses.replace(TOL, discriminant=tol))
+            got = classify_fiber(etas, n, p)
             assert got == reference_classify(etas, n, p, tol=tol) == want
+
+
+@pytest.mark.parametrize(
+    "n, p, step", [(3, 10, 1e-3), (3, 10, 1e-4), (2, 8, 1e-5), (1, 5, 1e-6)]
+)
+def test_clustered_fiber_is_top_class(n, p, step):
+    # n + 2 phases 0.3 + j * step: gap * |h| is 2.64, 0.264, 5.3e-3 and
+    # 6.3e-5 at 50 digits, far over the tolerance, while the smallest
+    # singular value of the columns z^0 .. z^n, z^p over the fiber is
+    # 1.3e-10, 1.3e-14, 3.9e-14 and 1.2e-11: a numerical rank at 1e-9
+    # would class each of these fibers n + 1
+    etas = tuple(0.3 + j * step for j in range(n + 2))
+    assert classify_fiber(etas, n, p) == reference_classify(etas, n, p) == n + 2
 
 
 def test_classify_full_roots_fiber_at_largest_benchmark_size():

@@ -162,9 +162,16 @@ def test_main_run_exit_codes(tmp_path, capsys):
 
 
 def test_main_quiet_suppresses_stdout(tmp_path, capsys):
-    good = write(tmp_path, "good.scenario", FAST_WITNESS)
-    assert main(["run", good, "--quiet"]) == 0
+    # only grid takes --quiet: its one stdout line names the output path
+    grid = write(tmp_path, "grid.scenario", FAST_GRID)
+    out = tmp_path / "g.csv"
+    assert main(["grid", grid, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"grid rows 25 -> {out}\n"
+    loud = out.read_bytes()
+    out.unlink()
+    assert main(["grid", grid, "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+    assert out.read_bytes() == loud
 
 
 def test_main_run_is_byte_deterministic(tmp_path, capsys):
@@ -350,6 +357,14 @@ def test_run_takes_no_tolerance_flag(tmp_path, capsys):
         main(["run", good, "--tolerance", "1e-9"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+def test_run_takes_no_quiet_flag(tmp_path, capsys):
+    good = write(tmp_path, "good.scenario", FAST_WITNESS)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", good, "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quiet" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -758,7 +773,7 @@ def test_classify_scenario_counts_mismatch_fails(tmp_path):
         'expected_counts = {"2": 1}\n'
     )
     path = write(tmp_path, "c.scenario", text)
-    assert main(["run", path, "--quiet"]) == 1
+    assert main(["run", path]) == 1
 
 
 def test_empty_density_is_the_zero_density(tmp_path, capsys):

@@ -250,6 +250,16 @@ def test_discriminant_validates_shapes():
     assert np.isfinite(hup_discriminant([0.0, 0.5, 1.0, 1.5, 1.9], 3, 12))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_phases_are_refused_by_name(bad):
+    # exp(i*pi*eta) of such a phase is nan + nanj, so the phase itself is
+    # checked before it becomes a node
+    with pytest.raises(ValueError, match=f"phase {bad!r} is not finite"):
+        UnimodularTuple.from_phases([0.0, bad])
+    with pytest.raises(ValueError, match=f"phase {bad!r} is not finite"):
+        hup_discriminant([0.0, 0.5, bad], 1, 3)
+
+
 def _on_nodes(f):
     return lambda etas, n, p: f(UnimodularTuple.from_phases(etas), n, p)
 
