@@ -712,7 +712,6 @@ def main(argv: list[str] | None = None) -> int:
     grid_parser = sub.add_parser("grid", help="write a transform grid CSV")
     grid_parser.add_argument("scenario", help="path to an ft_grid scenario file")
     grid_parser.add_argument("--out", required=True, help="CSV output path")
-    grid_parser.add_argument("--quiet", action="store_true", help="suppress stdout output")
     args = parser.parse_args(argv)
 
     try:
@@ -731,7 +730,7 @@ def main(argv: list[str] | None = None) -> int:
             text, code = report.render(), (0 if report.overall else 1)
         else:
             rows = emit_grid(scenario, args.out)
-            text, code = ("" if args.quiet else f"grid rows {rows} -> {args.out}\n"), 0
+            text, code = f"grid rows {rows} -> {args.out}\n", 0
         elapsed = time.perf_counter() - start
         sys.stdout.write(text)
         print(f"# elapsed_s {elapsed:.3f}", file=sys.stderr)

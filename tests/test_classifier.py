@@ -333,7 +333,8 @@ def test_classify_full_roots_fiber_at_largest_benchmark_size():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: a 1e-9 bound on gap * |h| reads rounding as class n + 2",
+    reason="ROADMAP item 1: conditioning, not rounding: from 60-digit points, "
+    "gap * |h| still reads 1.5e-8, 3.6e-8 and 3.9e-9, over the 1e-9 bound",
 )
 @pytest.mark.parametrize("n, p", [(3, 300), (5, 100), (8, 60)])
 def test_rotated_roots_fiber_is_class_n_plus_one_at_large_p(n, p):

@@ -161,17 +161,41 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.scenario")]) == 3
 
 
-def test_main_quiet_suppresses_stdout(tmp_path, capsys):
-    # only grid takes --quiet: its one stdout line names the output path
+def test_grid_prints_its_row_count_and_path(tmp_path, capsys):
     grid = write(tmp_path, "grid.scenario", FAST_GRID)
     out = tmp_path / "g.csv"
     assert main(["grid", grid, "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"grid rows 25 -> {out}\n"
-    loud = out.read_bytes()
-    out.unlink()
-    assert main(["grid", grid, "--out", str(out), "--quiet"]) == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_bytes() == loud
+
+
+# the benchmark's steepest curve sweeps, either sign
+STEEP_SWEEPS = {
+    f"steep_sweep_c{c}": f"kind = exp_curve_witness\nc = {c}\nd = 1\n"
+    "x_min = -5\nx_max = 5\nx_step = 0.02\n"
+    for c in ("3.2", "-3.2")
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in SCENARIOS.glob("*.scenario")) + sorted(STEEP_SWEEPS)
+)
+def test_shipped_scenario_passes_twice(tmp_path, capsys, name):
+    # each shipped witness check exits 0 twice with one report, and every
+    # curve estimate is within 1e-9
+    if name in STEEP_SWEEPS:
+        path = write(tmp_path, "s.scenario", STEEP_SWEEPS[name])
+    else:
+        path = str(SCENARIOS / f"{name}.scenario")
+    outs = []
+    for _ in range(2):
+        assert main(["run", path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].endswith("overall PASS\n")
+    errors = [float(ln.split()[2]) for ln in outs[0].splitlines()
+              if ln.startswith("info quad_error_max ")]
+    assert all(e <= 1e-9 for e in errors)
+    assert errors or name not in STEEP_SWEEPS
 
 
 def test_main_run_is_byte_deterministic(tmp_path, capsys):
@@ -359,10 +383,12 @@ def test_run_takes_no_tolerance_flag(tmp_path, capsys):
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
-def test_run_takes_no_quiet_flag(tmp_path, capsys):
-    good = write(tmp_path, "good.scenario", FAST_WITNESS)
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_run_takes_no_quiet_flag(tmp_path, capsys, command):
+    # neither command has a flag that drops its stdout
+    out = ["--out", str(tmp_path / "g.csv")] if command == "grid" else []
     with pytest.raises(SystemExit) as exc:
-        main(["run", good, "--quiet"])
+        main([command, write(tmp_path, "g.scenario", FAST_GRID), *out, "--quiet"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --quiet" in capsys.readouterr().err
 
@@ -580,12 +606,18 @@ def test_grid_abs_constant_along_eta_for_single_line(tmp_path):
     assert all(len(mags) == 1 for mags in by_xi.values())
 
 
-def test_grid_is_byte_deterministic(tmp_path):
-    scenario = load_scenario(write(tmp_path, "grid.scenario", FAST_GRID))
+@pytest.mark.parametrize(
+    "name", ["fast_grid"] + sorted(p.stem for p in SCENARIOS.glob("ft_grid*.scenario"))
+)
+def test_grid_is_byte_deterministic(tmp_path, name):
+    if name == "fast_grid":
+        path = write(tmp_path, "grid.scenario", FAST_GRID)
+    else:
+        path = str(SCENARIOS / f"{name}.scenario")
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    emit_grid(scenario, str(out1))
-    emit_grid(scenario, str(out2))
+    assert main(["grid", path, "--out", str(out1)]) == 0
+    assert main(["grid", path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -687,6 +719,42 @@ ORACLE_GRIDS = {
             construct_consecutive_witness(1, measures.gaussian(0.0, 1.0))[0],
             _axis(-1.0, 0.25, 9),
             _axis(0.0, 0.01, 201),
+        ),
+    ),
+    # 1001 x 101: 125 `_ft_rows` blocks of 8 xi rows, then a last block of one
+    "wide": (
+        "kind = ft_grid\nmeasure = consecutive_witness\nn = 1\n"
+        'seed_density = [{"kind": "gaussian", "center": 0.3, "width": 0.9, '
+        '"amplitude": [0.6, -0.8]}, {"kind": "triangle", "width": 0.7}]\n'
+        "eta_step = 0.02\n",
+        lambda: (
+            line_system_ft,
+            construct_consecutive_witness(
+                1, measures.gaussian(0.3, 0.9, 0.6 - 0.8j) + measures.triangle(0.0, 0.7)
+            )[0],
+            _axis(-10.0, 0.02, 1001),
+            _axis(0.0, 0.02, 101),
+        ),
+    ),
+    # the same size on a cross: every level mirrored, complex amplitudes,
+    # one empty level
+    "wide_cross": (
+        "kind = ft_grid\nmeasure = cross\n"
+        'densities = [[{"kind": "gaussian", "center": 0.3, "width": 0.9, '
+        '"amplitude": [0.6, -0.8]}], [], [{"kind": "triangle", "center": -0.5, '
+        '"width": 0.7, "amplitude": [0.0, 1.5]}, {"kind": "box", "width": 1.2}]]\n'
+        "eta_step = 0.02\n",
+        lambda: (
+            cross_ft,
+            construct_cross_diagonal_witness(
+                [
+                    measures.gaussian(0.3, 0.9, 0.6 - 0.8j),
+                    measures.zero_density(),
+                    measures.triangle(-0.5, 0.7, 1.5j) + measures.box(0.0, 1.2),
+                ]
+            ),
+            _axis(-10.0, 0.02, 1001),
+            _axis(0.0, 0.02, 101),
         ),
     ),
 }
@@ -892,7 +960,7 @@ def test_off_grid_lambda_height_is_refused(tmp_path, capsys, text, height):
     assert "overall" not in captured.out
     assert f"lambda height {height} has no eta row" in captured.err
     # the CSV reads no lambda heights
-    assert main(["grid", path, "--out", str(tmp_path / "g.csv"), "--quiet"]) == 0
+    assert main(["grid", path, "--out", str(tmp_path / "g.csv")]) == 0
 
 
 def test_nan_magnitude_reaches_the_report():

@@ -294,7 +294,8 @@ def test_the_power_contract_is_enforced_everywhere(call, etas, n, p, cause):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: the h-difference of five close 1000th roots is rounding",
+    reason="ROADMAP item 1: cmath.exp rounds the points, and the degree-997 "
+    "h-difference amplifies that error to 5.5e-8 (1.4e-15 from 60-digit points)",
 )
 def test_discriminant_of_close_roots_at_large_p_is_zero():
     # five consecutive rotated 1000th roots: at 40 digits the value on these
